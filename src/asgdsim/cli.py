@@ -42,7 +42,7 @@ from .engine import (
     run_heterogeneous,
     run_homogeneous,
 )
-from .errors import InvalidConfigError, SimulatorError, TuningFailedError
+from .errors import InvalidConfigError, InvalidSpecError, SimulatorError, TuningFailedError
 from .objectives import (
     HeterogeneousFamily,
     NoiseModel,
@@ -87,8 +87,10 @@ def _field(data: dict, key: str, path: str, kinds, required: bool = True, defaul
     value = data[key]
     if kinds is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    _expect(isinstance(value, kinds) and not isinstance(value, bool) or kinds is bool,
+    _expect(isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)),
             f"{path}.{key}", f"expected {kinds}, got {type(value).__name__}")
+    _expect(not isinstance(value, float) or math.isfinite(value),
+            f"{path}.{key}", f"must be finite, got {value}")
     return value
 
 
@@ -168,6 +170,13 @@ class ExperimentConfig:
         family = _field(spec, "family", path, str)
         seed = seed if seed is not None else _field(spec, "seed", path, int,
                                                     required=False, default=self.seed)
+        try:
+            return self._make_objective(spec, path, family, seed)
+        except (InvalidSpecError, np.linalg.LinAlgError) as exc:
+            raise InvalidConfigError(f"{path}: {exc}") from exc
+
+    @staticmethod
+    def _make_objective(spec: dict, path: str, family: str, seed: int):
         if family == "quadratic":
             return make_quadratic(
                 _field(spec, "dim", path, int),
@@ -242,14 +251,18 @@ class ExperimentConfig:
     def build_stop(self) -> StopRule:
         spec = self.stop
         path = "config.stop"
+        tolerances = {key: _field(spec, key, path, float, required=False)
+                      for key in ("grad_tol", "last_k_tol")}
+        for key, tol in tolerances.items():
+            _expect(tol is None or tol >= 0, f"{path}.{key}", f"must be non-negative, got {tol}")
         return StopRule(
             max_iterations=_field(spec, "max_iterations", path, int),
-            grad_tol=_field(spec, "grad_tol", path, float, required=False),
-            last_k_tol=_field(spec, "last_k_tol", path, float, required=False),
+            **tolerances,
             last_k=_field(spec, "last_k", path, int, required=False, default=30),
             diverge_above=_field(spec, "diverge_above", path, float,
                                  required=False, default=1e100),
-            require_quiescent=bool(spec.get("require_quiescent", False)),
+            require_quiescent=_field(spec, "require_quiescent", path, bool,
+                                     required=False, default=False),
             stall_window=_field(spec, "stall_window", path, int, required=False),
             stall_improvement=_field(spec, "stall_improvement", path, float,
                                      required=False, default=1e-3),
@@ -762,7 +775,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidConfigError as exc:
+    except (InvalidConfigError, InvalidSpecError) as exc:
         print(f"asgdsim: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except TuningFailedError as exc:

@@ -273,25 +273,20 @@ class RunTrace:
         "objective_value", "sim_time", "n_assigned", "concurrency",
     )
 
+    CSV_CHUNK_ROWS = 1024  # rows converted to Python objects at a time
+
     def to_csv(self, path) -> None:
+        columns = (self.worker_ids, self.client_ids, self.delays, self.stepsizes,
+                   self.grad_norms, self.objective_values, self.sim_times,
+                   self.n_assigned, self.concurrency)
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(self.CSV_COLUMNS)
-            for t in range(len(self)):
-                writer.writerow(
-                    (
-                        t,
-                        int(self.worker_ids[t]),
-                        int(self.client_ids[t]),
-                        int(self.delays[t]),
-                        repr(float(self.stepsizes[t])),
-                        repr(float(self.grad_norms[t])),
-                        repr(float(self.objective_values[t])),
-                        repr(float(self.sim_times[t])),
-                        int(self.n_assigned[t]),
-                        int(self.concurrency[t]),
-                    )
-                )
+            for lo in range(0, len(self), self.CSV_CHUNK_ROWS):
+                rows = slice(lo, lo + self.CSV_CHUNK_ROWS)
+                # csv writes a Python float as its repr and an int as str
+                writer.writerows(zip(range(lo, lo + self.CSV_CHUNK_ROWS),
+                                     *(col[rows].tolist() for col in columns)))
 
 
 @dataclass(frozen=True)
@@ -382,11 +377,8 @@ class SimState:
         self._col_value: list[float] = []
         self._col_sim_time: list[float] = []
         self._col_assigned: list[int] = []
-        self._col_concurrency: list[int] = []
-
-        # ledger pieces
-        self._applied_delays: list[int] = []
-        self._applied_clients: list[int] = []
+        # the ledger shares _col_delay and _col_client; concurrency_log[t] is
+        # |C_t|, the trace's concurrency column before event t
         self._samples: dict[int, int] = {}
         self.concurrency_log: list[int] = []
 
@@ -512,8 +504,8 @@ class SimState:
         excluded = 0 if remaining else None
         ledger = DelayLedger(
             total_iterations=self.t,
-            applied_delays=self._applied_delays,
-            applied_clients=self._applied_clients,
+            applied_delays=self._col_delay,
+            applied_clients=self._col_client,
             active_start_iterations=active_starts,
             active_clients=active_clients,
             concurrency_log=self.concurrency_log,
@@ -529,7 +521,7 @@ class SimState:
             objective_values=np.array(self._col_value, dtype=float),
             sim_times=np.array(self._col_sim_time, dtype=float),
             n_assigned=np.array(self._col_assigned, dtype=int),
-            concurrency=np.array(self._col_concurrency, dtype=int),
+            concurrency=np.array(self.concurrency_log[:-1], dtype=int),
             final_x=self.x,
             final_value=self.cur_value,
             final_grad_norm=self.cur_grad_norm,
@@ -548,7 +540,6 @@ def advance_event(state: SimState) -> SimState:
         raise SimulationDeadlockError(
             f"no jobs in flight at iteration {state.t}; the policy starved the queue"
         )
-    concurrency_before = len(state._heap)
     finish, _, _, worker_id, client_id, start_iteration, grad = heappop(state._heap)
     state._busy[worker_id] -= 1
     t = state.t
@@ -563,9 +554,6 @@ def advance_event(state: SimState) -> SimState:
     state._col_grad_norm.append(state.cur_grad_norm)
     state._col_value.append(state.cur_value)
     state._col_sim_time.append(finish)
-    state._col_concurrency.append(concurrency_before)
-    state._applied_delays.append(recorded_delay)
-    state._applied_clients.append(client_id)
 
     state.sim_time = finish
     state.x = state.x - eta * grad

@@ -150,28 +150,35 @@ def conservation_average_delay(ledger: DelayLedger) -> Fraction:
     return Fraction(check.lhs, denom)
 
 
+def _delay_totals_per_client(ledger: DelayLedger) -> dict[int, int]:
+    """Exact summed delay of each client in one pass: its applied delays plus
+    T - s for every one of its jobs still in flight (none excluded)."""
+    t = ledger.total_iterations
+    totals: dict[int, int] = {}
+    for d, c in zip(ledger.applied_delays, ledger.applied_clients):
+        totals[c] = totals.get(c, 0) + d
+    for s, c in zip(ledger.active_start_iterations, ledger.active_clients):
+        totals[c] = totals.get(c, 0) + t - s
+    return totals
+
+
 def average_delay_per_client_exact(ledger: DelayLedger, client: int) -> Fraction:
     """Per-client mean delay: applied plus every unapplied job of that client,
     divided by the number of times the client was handed work."""
     count = ledger.samples_per_client.get(client, 0)
     if count == 0:
         raise UndefinedStatisticError(f"client {client} was never sampled")
-    t = ledger.total_iterations
-    total = sum(d for d, c in zip(ledger.applied_delays, ledger.applied_clients) if c == client)
-    total += sum(
-        t - s for s, c in zip(ledger.active_start_iterations, ledger.active_clients) if c == client
-    )
-    return Fraction(total, count)
+    return Fraction(_delay_totals_per_client(ledger).get(client, 0), count)
 
 
 def average_delay_per_client(ledger: DelayLedger) -> dict[int, float]:
-    out = {}
-    for client in sorted(ledger.samples_per_client):
-        try:
-            out[client] = float(average_delay_per_client_exact(ledger, client))
-        except UndefinedStatisticError:
-            continue
-    return out
+    """``average_delay_per_client_exact`` of every sampled client, as floats."""
+    totals = _delay_totals_per_client(ledger)
+    return {
+        client: float(Fraction(totals.get(client, 0), count))
+        for client, count in sorted(ledger.samples_per_client.items())
+        if count != 0
+    }
 
 
 def grad_norm_sequence(trace) -> np.ndarray:

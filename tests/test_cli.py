@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,45 @@ class TestConfigParsing:
         trace = run_config(cfg, master_seed=3)
         assert len(trace) == 60
         assert trace.ledger.concurrency_log[0] == 2
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+
+
+# each entry edits configs/example.json into one bad input and names the
+# field the error message must point at
+BAD_EXAMPLES = {
+    "nan_delta": (lambda d: d["workers"][0].update(delta=math.nan), "config.workers[0].delta"),
+    "inf_lambda_max": (lambda d: d["objective"].update(lambda_max=math.inf),
+                       "config.objective.lambda_max"),
+    "dim_1": (lambda d: d["objective"].update(dim=1), "config.objective"),
+    "overflowing_lambda_max": (lambda d: d["objective"].update(lambda_max=1e308),
+                               "config.objective"),
+    "negative_grad_tol": (lambda d: d["stop"].update(grad_tol=-1.0), "config.stop.grad_tol"),
+    "negative_last_k_tol": (lambda d: d["stop"].update(last_k_tol=-0.5),
+                            "config.stop.last_k_tol"),
+    "string_require_quiescent": (lambda d: d["stop"].update(require_quiescent="false"),
+                                 "config.stop.require_quiescent"),
+}
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("name", sorted(BAD_EXAMPLES))
+    def test_bad_example_exits_1_naming_the_field(self, name, tmp_path, capsys):
+        edit, field_path = BAD_EXAMPLES[name]
+        data = json.loads(EXAMPLE.read_text())
+        edit(data)
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and field_path in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_require_quiescent_takes_json_booleans(self, flag):
+        cfg = ExperimentConfig.from_dict(
+            tiny_config(stop={"max_iterations": 60, "require_quiescent": flag}))
+        assert cfg.build_stop().require_quiescent is flag
 
 
 class TestParseDeltas:

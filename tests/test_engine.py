@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from asgdsim import (
     MaxConcurrency,
     MiniBatch,
     NoiseModel,
+    RunTrace,
     SampledMiniBatch,
     SimState,
     SimulationDeadlockError,
@@ -330,6 +333,51 @@ class TestDeterminism:
                              faults=FaultInjection(invert_ties=True))
         assert list(clean.worker_ids) == [0, 1, 0, 1, 0, 1]
         assert list(flipped.worker_ids) == [1, 0, 1, 0, 1, 0]
+
+
+def reference_csv(trace, path):
+    """Row-at-a-time writer: the definition of the trace CSV format."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(trace.CSV_COLUMNS)
+        for t in range(len(trace)):
+            writer.writerow((
+                t, int(trace.worker_ids[t]), int(trace.client_ids[t]), int(trace.delays[t]),
+                repr(float(trace.stepsizes[t])), repr(float(trace.grad_norms[t])),
+                repr(float(trace.objective_values[t])), repr(float(trace.sim_times[t])),
+                int(trace.n_assigned[t]), int(trace.concurrency[t]),
+            ))
+
+
+def noisy_client_run(max_iterations):
+    fam = make_heterogeneous(QUAD, 5, 1.0, seed=4)
+    fleet = [WorkerModel(i, LogNormalTime(0.0, 0.7)) for i in range(5)]
+    return run_heterogeneous(fam, NoiseModel(0.3), fleet, 3, ConstantStepsize(0.05), X0,
+                             StopRule(max_iterations=max_iterations), master_seed=9)
+
+
+class TestCsvMatchesReference:
+    def assert_same_bytes(self, trace, tmp_path):
+        trace.to_csv(tmp_path / "fast.csv")
+        reference_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, RunTrace.CSV_CHUNK_ROWS])
+    def test_every_chunk_size(self, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(RunTrace, "CSV_CHUNK_ROWS", chunk)
+        self.assert_same_bytes(noisy_client_run(50), tmp_path)
+
+    def test_longer_than_one_chunk(self, tmp_path):
+        trace = noisy_client_run(RunTrace.CSV_CHUNK_ROWS + 9)
+        self.assert_same_bytes(trace, tmp_path)
+
+    def test_empty_and_special_floats(self, tmp_path):
+        trace = noisy_client_run(6)
+        special = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0, 1e300])
+        self.assert_same_bytes(dataclasses.replace(trace, grad_norms=special), tmp_path)
+        empty = {f.name: getattr(trace, f.name)[:0] for f in dataclasses.fields(trace)
+                 if isinstance(getattr(trace, f.name), np.ndarray) and f.name != "final_x"}
+        self.assert_same_bytes(dataclasses.replace(trace, **empty), tmp_path)
 
 
 class TestTraceAndState:

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asgdsim import (
     ConstantStepsize,
@@ -125,6 +127,68 @@ class TestHandComputedStatistics:
     def test_unknown_client_is_an_error(self):
         with pytest.raises(UndefinedStatisticError):
             metrics.average_delay_per_client_exact(hand_ledger(), 5)
+
+
+def brute_force_per_client(ledger, client):
+    """The definition, spelled out: the client's applied delays plus T - s for
+    each of its in-flight jobs, over the times it was handed work."""
+    t = ledger.total_iterations
+    delays = [d for d, c in zip(ledger.applied_delays, ledger.applied_clients) if c == client]
+    delays += [t - s for s, c in zip(ledger.active_start_iterations, ledger.active_clients)
+               if c == client]
+    return Fraction(sum(delays), ledger.samples_per_client[client])
+
+
+@st.composite
+def random_ledgers(draw):
+    """Ledgers of up to 5 sampled clients 0..n-1, among them clients with
+    in-flight jobs only or with no recorded job.  Each count is at least the
+    client's number of jobs, and at least 1.  Client ``n`` never took work;
+    sometimes it carries an explicit zero count."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, 25))
+    applied_clients = draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t))
+    applied_delays = draw(st.lists(st.integers(0, 40), min_size=t, max_size=t))
+    active = draw(st.lists(st.tuples(st.integers(0, t), st.integers(0, n - 1)), max_size=8))
+    samples = {}
+    for c in range(n):
+        jobs = applied_clients.count(c) + sum(1 for _, a in active if a == c)
+        samples[c] = jobs + draw(st.integers(0 if jobs else 1, 3))
+    if draw(st.booleans()):
+        samples[n] = 0
+    return DelayLedger(
+        total_iterations=t,
+        applied_delays=applied_delays,
+        applied_clients=applied_clients,
+        active_start_iterations=[s for s, _ in active],
+        active_clients=[c for _, c in active],
+        concurrency_log=[0] * (t + 1),  # unused by the per-client statistics
+        samples_per_client=samples,
+        excluded_active_index=draw(st.sampled_from([None] + list(range(len(active))))),
+    )
+
+
+class TestPerClientOnePass:
+    @settings(max_examples=200, deadline=None)
+    @given(random_ledgers())
+    def test_matches_the_brute_force_definition(self, ledger):
+        sampled = [c for c, count in ledger.samples_per_client.items() if count]
+        for client in sampled:
+            assert metrics.average_delay_per_client_exact(ledger, client) == \
+                brute_force_per_client(ledger, client)
+        assert metrics.average_delay_per_client(ledger) == {
+            c: float(brute_force_per_client(ledger, c)) for c in sorted(sampled)}
+        never = len(sampled)  # clients 0..n-1 were sampled, client n never was
+        with pytest.raises(UndefinedStatisticError):
+            metrics.average_delay_per_client_exact(ledger, never)
+
+    def test_excluded_next_job_still_counts_for_its_client(self):
+        # both in-flight jobs are client 1's, the excluded next one (started
+        # at 1) among them; it enters the per-client mean although the
+        # reported average leaves it out
+        ledger = hand_ledger(active_clients=[1, 1], samples_per_client={0: 2, 1: 3})
+        assert metrics.average_delay_per_client_exact(ledger, 1) == Fraction(1 + 2 + 0, 3)
+        assert metrics.average_delay_per_client_exact(ledger, 0) == Fraction(2, 2)
 
 
 class TestDegenerateLedgers:
