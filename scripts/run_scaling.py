@@ -17,7 +17,6 @@ def run(argv=None):
     ap.add_argument("--epsilon", type=float, default=1e-14)
     ap.add_argument("--max-iterations", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     for preset in ("quadratic", "logistic"):
@@ -27,7 +26,6 @@ def run(argv=None):
             "--epsilon", str(args.epsilon),
             "--max-iterations", str(args.max_iterations),
             "--seed", str(args.seed),
-            "--threads", str(args.threads),
             "--out", f"{args.out}/{preset}",
         ])
         if code != 0:

@@ -19,10 +19,9 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .engine import (
     run_heterogeneous,
     run_homogeneous,
 )
-from .errors import InvalidConfigError, InvalidSpecError, SimulatorError, TuningFailedError
+from .errors import InvalidConfigError, InvalidSpecError, TuningFailedError
 from .objectives import (
     HeterogeneousFamily,
     NoiseModel,
@@ -60,6 +59,7 @@ from .report import (
     write_json,
 )
 from .stepsize import (
+    TUNING_CRITERIA,
     ConstantStepsize,
     DelayAdaptiveStepsize,
     TheoreticalConstantStepsize,
@@ -75,28 +75,64 @@ from .verify import run_all as run_all_checks
 # configuration
 
 
+TIME_MODELS = {
+    "constant": (ConstantTime, ("delta",)),
+    "lognormal": (LogNormalTime, ("mu", "sigma")),
+    "straggler": (StragglerTime, ("delta", "slow_factor", "straggle_prob")),
+}
+
+
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise InvalidConfigError(f"{path}: {message}")
+
+
+def _value(value, path: str, kinds):
+    if kinds is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    _expect(isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)),
+            path, f"expected {kinds}, got {type(value).__name__}")
+    _expect(not isinstance(value, float) or math.isfinite(value),
+            path, f"must be finite, got {value}")
+    return value
 
 
 def _field(data: dict, key: str, path: str, kinds, required: bool = True, default=None):
     if key not in data or data[key] is None:
         _expect(not required, f"{path}.{key}", "is required")
         return default
-    value = data[key]
-    if kinds is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    _expect(isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)),
-            f"{path}.{key}", f"expected {kinds}, got {type(value).__name__}")
-    _expect(not isinstance(value, float) or math.isfinite(value),
-            f"{path}.{key}", f"must be finite, got {value}")
-    return value
+    return _value(data[key], f"{path}.{key}", kinds)
+
+
+def _at(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with ``path`` in front of the message of a domain error."""
+    try:
+        return make(*args, **kwargs)
+    except (InvalidConfigError, InvalidSpecError, np.linalg.LinAlgError) as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from exc
+
+
+class BuiltConfig(NamedTuple):
+    """The runnable parts of a config, built once when it is loaded."""
+
+    objective: object
+    workers: list[WorkerModel]
+    policy: object
+    stop: StopRule
+    noise: NoiseModel
+    x0: np.ndarray
+    grid: list[float]  # the tuning grid; the default grid without a tuning block
+    criterion: str
+    stepsize: object  # None when the stepsize block leaves eta to ``tune``
 
 
 @dataclass
 class ExperimentConfig:
-    """Plain-data description of one run; round-trips losslessly through JSON."""
+    """Plain-data description of one run; round-trips losslessly through JSON.
+
+    ``from_dict`` validates every block by building it and keeps the parts
+    in ``built``, which takes no part in equality, ``repr`` or ``to_dict``.
+    """
 
     seed: int
     objective: dict
@@ -108,6 +144,7 @@ class ExperimentConfig:
     tuning: Optional[dict] = None
     x0: Optional[list] = None
     replicas: int = 1
+    built: Optional[BuiltConfig] = field(default=None, init=False, repr=False, compare=False)
 
     KEYS = ("seed", "objective", "workers", "policy", "stop", "noise_sigma",
             "stepsize", "tuning", "x0", "replicas")
@@ -134,14 +171,28 @@ class ExperimentConfig:
                 "needs a stepsize block (or a tuning block for the tune command)")
         cfg = cls(seed, objective, list(workers), policy, stop, sigma,
                   stepsize, tuning, list(x0) if x0 is not None else None, replicas)
-        # fail fast on bad sub-blocks
-        cfg.build_workers()
-        obj = cfg.build_objective()
-        cfg.build_policy(n_workers=len(cfg.build_workers()))
-        cfg.build_stop()
+
+        problem = _build_objective(objective, seed)
+        fleet = _build_workers(workers)
+        schedule = _build_policy(policy, len(fleet))
+        if isinstance(problem, HeterogeneousFamily):
+            _expect(isinstance(schedule, UniformClientSampling), f"{path}.policy",
+                    "heterogeneous objectives run under uniform_client_sampling")
+            _expect(len(fleet) == problem.n_clients, f"{path}.workers",
+                    f"need exactly {problem.n_clients} workers, one per client")
+        start = np.zeros(problem.dim)
         if x0 is not None:
-            _expect(len(x0) == obj.dim, f"{path}.x0",
-                    f"length {len(x0)} does not match objective dimension {obj.dim}")
+            _expect(len(x0) == problem.dim, f"{path}.x0",
+                    f"length {len(x0)} does not match objective dimension {problem.dim}")
+            start = np.array([_value(v, f"{path}.x0[{i}]", float) for i, v in enumerate(x0)])
+        grid, criterion = _build_tuning(tuning or {})
+        cfg.built = BuiltConfig(problem, fleet, schedule, _build_stop(stop),
+                                NoiseModel(sigma), start, grid, criterion, None)
+        if stepsize is not None:
+            # tune supplies eta itself: a block without one is checked at a grid value
+            tuned = stepsize.get("eta") is None and stepsize.get("kind") != "theoretical"
+            rule = cfg.build_stepsize(grid[0] if tuned else None)
+            cfg.built = cfg.built._replace(stepsize=None if tuned else rule)
         return cfg
 
     def to_dict(self) -> dict:
@@ -162,162 +213,140 @@ class ExperimentConfig:
             out["x0"] = self.x0
         return out
 
-    # -- builders ----------------------------------------------------------
-
-    def build_objective(self, seed: Optional[int] = None):
-        spec = self.objective
-        path = "config.objective"
-        family = _field(spec, "family", path, str)
-        seed = seed if seed is not None else _field(spec, "seed", path, int,
-                                                    required=False, default=self.seed)
-        try:
-            return self._make_objective(spec, path, family, seed)
-        except (InvalidSpecError, np.linalg.LinAlgError) as exc:
-            raise InvalidConfigError(f"{path}: {exc}") from exc
-
-    @staticmethod
-    def _make_objective(spec: dict, path: str, family: str, seed: int):
-        if family == "quadratic":
-            return make_quadratic(
-                _field(spec, "dim", path, int),
-                _field(spec, "lambda_min", path, float),
-                _field(spec, "lambda_max", path, float),
-                seed,
-            )
-        if family == "logistic":
-            return make_logistic(
-                _field(spec, "n_samples", path, int),
-                _field(spec, "dim", path, int),
-                seed,
-            )
-        if family == "heterogeneous":
-            base = make_quadratic(
-                _field(spec, "dim", path, int),
-                _field(spec, "lambda_min", path, float),
-                _field(spec, "lambda_max", path, float),
-                seed,
-            )
-            return make_heterogeneous(
-                base,
-                _field(spec, "n_clients", path, int),
-                _field(spec, "zeta", path, float),
-                seed + 1,
-            )
-        raise InvalidConfigError(f"{path}.family: unknown family {family!r}")
-
-    def build_workers(self) -> list[WorkerModel]:
-        out: list[WorkerModel] = []
-        for idx, item in enumerate(self.workers):
-            path = f"config.workers[{idx}]"
-            _expect(isinstance(item, dict), path, "must be an object")
-            count = _field(item, "count", path, int, required=False, default=1)
-            _expect(count >= 1, f"{path}.count", "must be at least 1")
-            kind = _field(item, "time", path, str)
-            if kind == "constant":
-                model = ConstantTime(_field(item, "delta", path, float))
-            elif kind == "lognormal":
-                model = LogNormalTime(
-                    _field(item, "mu", path, float),
-                    _field(item, "sigma", path, float),
-                )
-            elif kind == "straggler":
-                model = StragglerTime(
-                    _field(item, "delta", path, float),
-                    _field(item, "slow_factor", path, float),
-                    _field(item, "straggle_prob", path, float),
-                )
-            else:
-                raise InvalidConfigError(f"{path}.time: unknown model {kind!r}")
-            for _ in range(count):
-                out.append(WorkerModel(len(out), model))
-        _expect(len(out) >= 1, "config.workers", "must describe at least one worker")
-        return out
-
-    def build_policy(self, n_workers: int):
-        spec = self.policy
-        path = "config.policy"
-        kind = _field(spec, "kind", path, str)
-        if kind == "max_concurrency":
-            return MaxConcurrency()
-        if kind == "minibatch":
-            return MiniBatch(_field(spec, "batch_size", path, int, required=False,
-                                    default=n_workers))
-        if kind == "sampled_minibatch":
-            return SampledMiniBatch(_field(spec, "batch_size", path, int))
-        if kind == "uniform_client_sampling":
-            return UniformClientSampling(_field(spec, "concurrency", path, int))
-        raise InvalidConfigError(f"{path}.kind: unknown policy {kind!r}")
-
-    def build_stop(self) -> StopRule:
-        spec = self.stop
-        path = "config.stop"
-        tolerances = {key: _field(spec, key, path, float, required=False)
-                      for key in ("grad_tol", "last_k_tol")}
-        for key, tol in tolerances.items():
-            _expect(tol is None or tol >= 0, f"{path}.{key}", f"must be non-negative, got {tol}")
-        return StopRule(
-            max_iterations=_field(spec, "max_iterations", path, int),
-            **tolerances,
-            last_k=_field(spec, "last_k", path, int, required=False, default=30),
-            diverge_above=_field(spec, "diverge_above", path, float,
-                                 required=False, default=1e100),
-            require_quiescent=_field(spec, "require_quiescent", path, bool,
-                                     required=False, default=False),
-            stall_window=_field(spec, "stall_window", path, int, required=False),
-            stall_improvement=_field(spec, "stall_improvement", path, float,
-                                     required=False, default=1e-3),
-        )
-
-    def _policy_concurrency(self, n_workers: int) -> int:
-        kind = self.policy.get("kind")
-        if kind == "uniform_client_sampling":
-            return int(self.policy["concurrency"])
-        if kind in ("minibatch", "sampled_minibatch"):
-            return int(self.policy.get("batch_size", n_workers))
-        return n_workers
-
-    def build_stepsize(self, objective, x0: np.ndarray, eta: Optional[float] = None):
+    def build_stepsize(self, eta: Optional[float] = None):
+        """The configured stepsize rule, with base stepsize ``eta`` when one is given."""
         spec = self.stepsize
         path = "config.stepsize"
         _expect(spec is not None, path, "is required to run")
+        built = self.built
         kind = _field(spec, "kind", path, str)
-        n_workers = len(self.build_workers())
+        # the policy's own concurrency: its jobs in flight, its batch size or the fleet
         concurrency = _field(spec, "concurrency", path, int, required=False,
-                             default=self._policy_concurrency(n_workers))
+                             default=getattr(built.policy, "concurrency",
+                                             getattr(built.policy, "batch_size",
+                                                     len(built.workers))))
+        lipschitz = _field(spec, "lipschitz", path, float, required=False,
+                           default=built.objective.smoothness)
         if kind == "constant":
-            value = eta if eta is not None else _field(spec, "eta", path, float)
-            return ConstantStepsize(value)
+            return _at(path, ConstantStepsize,
+                       eta if eta is not None else _field(spec, "eta", path, float))
         if kind == "delay_adaptive":
-            value = eta if eta is not None else _field(spec, "eta", path, float)
-            return DelayAdaptiveStepsize(
-                eta=value,
-                lipschitz=_field(spec, "lipschitz", path, float, required=False,
-                                 default=objective.smoothness),
-                concurrency=concurrency,
-                mode=_field(spec, "mode", path, str, required=False, default="scale"),
-            )
+            return _at(path, DelayAdaptiveStepsize,
+                       eta if eta is not None else _field(spec, "eta", path, float),
+                       lipschitz, concurrency,
+                       _field(spec, "mode", path, str, required=False, default="scale"))
         if kind == "theoretical":
             _expect(eta is None, path, "the theoretical stepsize cannot be grid-tuned")
-            stop = self.build_stop()
             gap = _field(spec, "initial_gap", path, float, required=False)
-            if gap is None:
-                gap = objective.value(x0)
-            return TheoreticalConstantStepsize(
-                lipschitz=_field(spec, "lipschitz", path, float, required=False,
-                                 default=objective.smoothness),
+            return _at(
+                path, TheoreticalConstantStepsize,
+                lipschitz=lipschitz,
                 max_delay=_field(spec, "max_delay", path, float, required=False,
                                  default=float(concurrency)),
                 concurrency=float(concurrency),
                 sigma=self.noise_sigma,
-                initial_gap=gap,
-                horizon=stop.max_iterations,
+                initial_gap=gap if gap is not None else built.objective.value(built.x0),
+                horizon=built.stop.max_iterations,
             )
         raise InvalidConfigError(f"{path}.kind: unknown stepsize {kind!r}")
 
-    def initial_point(self, objective) -> np.ndarray:
-        if self.x0 is None:
-            return np.zeros(objective.dim)
-        return np.asarray(self.x0, dtype=float)
+
+def _build_objective(spec: dict, default_seed: int):
+    path = "config.objective"
+    family = _field(spec, "family", path, str)
+    seed = _field(spec, "seed", path, int, required=False, default=default_seed)
+    if family == "logistic":
+        return _at(path, make_logistic, _field(spec, "n_samples", path, int),
+                   _field(spec, "dim", path, int), seed)
+    _expect(family in ("quadratic", "heterogeneous"), f"{path}.family",
+            f"unknown family {family!r}")
+    quadratic = _at(path, make_quadratic, _field(spec, "dim", path, int),
+                    _field(spec, "lambda_min", path, float),
+                    _field(spec, "lambda_max", path, float), seed)
+    if family == "quadratic":
+        return quadratic
+    return _at(path, make_heterogeneous, quadratic, _field(spec, "n_clients", path, int),
+               _field(spec, "zeta", path, float), seed + 1)
+
+
+def _build_workers(items: list) -> list[WorkerModel]:
+    out: list[WorkerModel] = []
+    for idx, item in enumerate(items):
+        path = f"config.workers[{idx}]"
+        _expect(isinstance(item, dict), path, "must be an object")
+        count = _field(item, "count", path, int, required=False, default=1)
+        _expect(count >= 1, f"{path}.count", "must be at least 1")
+        kind = _field(item, "time", path, str)
+        _expect(kind in TIME_MODELS, f"{path}.time", f"unknown model {kind!r}")
+        make, keys = TIME_MODELS[kind]
+        model = _at(path, make, *(_field(item, key, path, float) for key in keys))
+        out.extend(WorkerModel(i, model) for i in range(len(out), len(out) + count))
+    _expect(len(out) >= 1, "config.workers", "must describe at least one worker")
+    return out
+
+
+def _build_policy(spec: dict, n_workers: int):
+    path = "config.policy"
+    kind = _field(spec, "kind", path, str)
+    if kind == "max_concurrency":
+        return MaxConcurrency()
+    if kind == "minibatch":
+        size = _field(spec, "batch_size", path, int, required=False, default=n_workers)
+        _expect(size == n_workers, f"{path}.batch_size",
+                f"must equal the fleet size {n_workers}, got {size}")
+        return MiniBatch(size)
+    if kind == "sampled_minibatch":
+        size = _field(spec, "batch_size", path, int)
+        _expect(size >= 1, f"{path}.batch_size", "must be at least 1")
+        return SampledMiniBatch(size)
+    if kind == "uniform_client_sampling":
+        concurrency = _field(spec, "concurrency", path, int)
+        _expect(concurrency >= 1, f"{path}.concurrency", "must be at least 1")
+        return UniformClientSampling(concurrency)
+    raise InvalidConfigError(f"{path}.kind: unknown policy {kind!r}")
+
+
+def _build_stop(spec: dict) -> StopRule:
+    path = "config.stop"
+    tolerances = {key: _field(spec, key, path, float, required=False)
+                  for key in ("grad_tol", "last_k_tol")}
+    for key, tol in tolerances.items():
+        _expect(tol is None or tol >= 0, f"{path}.{key}", f"must be non-negative, got {tol}")
+    return _at(
+        path, StopRule,
+        max_iterations=_field(spec, "max_iterations", path, int),
+        **tolerances,
+        last_k=_field(spec, "last_k", path, int, required=False, default=30),
+        diverge_above=_field(spec, "diverge_above", path, float,
+                             required=False, default=1e100),
+        require_quiescent=_field(spec, "require_quiescent", path, bool,
+                                 required=False, default=False),
+        stall_window=_field(spec, "stall_window", path, int, required=False),
+        stall_improvement=_field(spec, "stall_improvement", path, float,
+                                 required=False, default=1e-3),
+    )
+
+
+def _build_tuning(spec: dict) -> tuple[list[float], str]:
+    """The stepsize grid and the criterion of a tuning block."""
+    path = "config.tuning"
+    criterion = _field(spec, "criterion", path, str, required=False, default="min_T_to_eps")
+    _expect(criterion in TUNING_CRITERIA, f"{path}.criterion",
+            f"must be one of {list(TUNING_CRITERIA)}, got {criterion!r}")
+    values = _field(spec, "values", path, list, required=False)
+    if values is not None:
+        _expect(len(values) > 0, f"{path}.values", "must be a non-empty list")
+        grid = [_value(v, f"{path}.values[{i}]", float) for i, v in enumerate(values)]
+        for i, eta in enumerate(grid):
+            _expect(eta > 0, f"{path}.values[{i}]", f"must be positive, got {eta}")
+        return grid, criterion
+    points = _field(spec, "points_per_decade", path, int, required=False, default=4)
+    low = _field(spec, "low", path, float, required=False, default=1e-5)
+    high = _field(spec, "high", path, float, required=False, default=1e2)
+    _expect(points >= 1, f"{path}.points_per_decade", f"must be at least 1, got {points}")
+    _expect(low > 0, f"{path}.low", f"must be positive, got {low}")
+    _expect(high > low, f"{path}.high", f"must exceed low ({low}), got {high}")
+    return default_log_grid(points, low, high), criterion
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -330,63 +359,40 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def run_config(cfg: ExperimentConfig, master_seed: int, eta: Optional[float] = None,
-               stop: Optional[StopRule] = None, record_iterates: bool = False):
-    """Build every component of ``cfg`` and run it once."""
-    objective = cfg.build_objective()
-    workers = cfg.build_workers()
-    policy = cfg.build_policy(len(workers))
-    stop = stop if stop is not None else cfg.build_stop()
-    x0 = cfg.initial_point(objective)
-    stepsize = cfg.build_stepsize(objective, x0, eta=eta)
-    noise = NoiseModel(cfg.noise_sigma)
-    if isinstance(objective, HeterogeneousFamily):
-        _expect(isinstance(policy, UniformClientSampling), "config.policy",
-                "heterogeneous objectives run under uniform_client_sampling")
-        _expect(len(workers) == objective.n_clients, "config.workers",
-                f"need exactly {objective.n_clients} workers, one per client")
-        return run_heterogeneous(objective, noise, workers, policy.concurrency,
-                                 stepsize, x0, stop, master_seed=master_seed,
-                                 record_iterates=record_iterates)
-    return run_homogeneous(objective, noise, workers, policy, stepsize, x0, stop,
-                           master_seed=master_seed, record_iterates=record_iterates)
+def run_config(cfg: ExperimentConfig, master_seed: int, stepsize=None,
+               stop: Optional[StopRule] = None):
+    """Run the built parts of ``cfg`` once, optionally under another stepsize or stop rule."""
+    built = cfg.built
+    stepsize = stepsize if stepsize is not None else built.stepsize
+    stop = stop if stop is not None else built.stop
+    if isinstance(built.objective, HeterogeneousFamily):
+        return run_heterogeneous(built.objective, built.noise, built.workers,
+                                 built.policy.concurrency, stepsize, built.x0, stop,
+                                 master_seed=master_seed)
+    return run_homogeneous(built.objective, built.noise, built.workers, built.policy,
+                           stepsize, built.x0, stop, master_seed=master_seed)
 
 
 # ---------------------------------------------------------------------------
-# tuning plumbing
+# tuning
 
 
-def make_tuning_runner(cfg: ExperimentConfig, master_seed: int):
-    base_stop = cfg.build_stop()
+def make_tuning_runner(simulate, stop: StopRule):
+    """The ``run(eta, budget)`` of ``grid_tune``: ``simulate(eta, capped_stop)``,
+    where ``capped_stop`` is ``stop`` with its iteration cap lowered to the budget."""
 
     def run(eta: float, budget: Optional[int]) -> TuneOutcome:
-        stop = base_stop
+        capped = stop
         if budget is not None and budget < stop.max_iterations:
-            stop = replace(stop, max_iterations=budget)
-        trace = run_config(cfg, master_seed, eta=eta, stop=stop)
-        reached = trace.converged and stop.has_target
+            capped = replace(stop, max_iterations=budget)
+        trace = simulate(eta, capped)
         return TuneOutcome(
-            iterations_to_target=len(trace) if reached else None,
-            final_error=metrics_mod.last_k_error(trace, warn_short=False) if len(trace) else math.inf,
+            iterations_to_target=len(trace) if trace.converged and stop.has_target else None,
+            final_error=metrics_mod.last_k_error(trace, warn_short=False),
             diverged=trace.diverged,
         )
 
     return run
-
-
-def tuning_grid(cfg: ExperimentConfig) -> list[float]:
-    spec = cfg.tuning or {}
-    path = "config.tuning"
-    if "values" in spec and spec["values"] is not None:
-        values = spec["values"]
-        _expect(isinstance(values, list) and values, f"{path}.values",
-                "must be a non-empty list")
-        return [float(v) for v in values]
-    return default_log_grid(
-        points_per_decade=int(spec.get("points_per_decade", 4)),
-        low=float(spec.get("low", 1e-5)),
-        high=float(spec.get("high", 1e2)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +401,10 @@ def tuning_grid(cfg: ExperimentConfig) -> list[float]:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    _expect(cfg.built.stepsize is not None, "config.stepsize.eta", "is required to simulate")
     seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stop = cfg.build_stop()
     exit_code = 0
     for replica in range(cfg.replicas):
         master = seed + replica
@@ -408,7 +414,7 @@ def cmd_simulate(args) -> int:
         payload = metrics_mod.summary(trace)
         payload["master_seed"] = master
         write_json(out / f"metrics{suffix}.json", payload)
-        if stop.has_target and not trace.converged:
+        if cfg.built.stop.has_target and not trace.converged:
             exit_code = 2
     write_json(out / "config.json", cfg.to_dict() | {"seed": seed})
     print(f"simulate: wrote {cfg.replicas} run(s) to {out}")
@@ -417,32 +423,31 @@ def cmd_simulate(args) -> int:
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
+    built = cfg.built
     _expect(cfg.stepsize is not None, "config.stepsize", "is required for tuning")
+    _expect(not isinstance(built.stepsize, TheoreticalConstantStepsize), "config.stepsize",
+            "the theoretical stepsize cannot be grid-tuned")
+    if built.criterion == "min_T_to_eps":
+        _expect(built.stop.has_target, "config.stop",
+                "min_T_to_eps tuning needs grad_tol or last_k_tol")
     seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    criterion = (cfg.tuning or {}).get("criterion", "min_T_to_eps")
-    stop = cfg.build_stop()
-    if criterion == "min_T_to_eps":
-        _expect(stop.has_target, "config.stop",
-                "min_T_to_eps tuning needs grad_tol or last_k_tol")
-    grid = tuning_grid(cfg)
-    runner = make_tuning_runner(cfg, seed)
+    runner = make_tuning_runner(
+        lambda eta, stop: run_config(cfg, seed, cfg.build_stepsize(eta), stop), built.stop)
     try:
-        result = grid_tune(runner, grid, criterion=criterion,
-                           max_iterations=stop.max_iterations)
+        result = grid_tune(runner, built.grid, criterion=built.criterion,
+                           max_iterations=built.stop.max_iterations)
     except TuningFailedError as exc:
         print(f"tune: failed: {exc}", file=sys.stderr)
         write_json(out / "tuning.json", {"failed": True, "points": exc.points})
         return 2
     payload = result.to_dict()
-    if cfg.stepsize.get("kind") == "delay_adaptive":
-        objective = cfg.build_objective()
-        concurrency = cfg._policy_concurrency(len(cfg.build_workers()))
-        payload["adaptive_eta_bounds"] = adaptive_eta_bounds(
-            cfg.stepsize.get("lipschitz", objective.smoothness), concurrency
-        )
-    best = run_config(cfg, seed, eta=result.best_eta)
+    stepsize = cfg.build_stepsize(result.best_eta)
+    if isinstance(stepsize, DelayAdaptiveStepsize):
+        payload["adaptive_eta_bounds"] = adaptive_eta_bounds(stepsize.lipschitz,
+                                                             stepsize.concurrency)
+    best = run_config(cfg, seed, stepsize)
     best.to_csv(out / "best_trace.csv")
     write_json(out / "best_metrics.json", metrics_mod.summary(best))
     write_json(out / "tuning.json", payload)
@@ -451,8 +456,8 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _scaling_point(preset: str, objective, slow_factor: float, epsilon: float,
-                   grid: list[float], max_iterations: int, seed: int) -> ScalingPoint:
+def _scaling_point(objective, slow_factor: float, epsilon: float, grid: list[float],
+                   max_iterations: int, seed: int) -> ScalingPoint:
     workers = constant_fleet([1.0, float(slow_factor)])
     # quiescent stop: the sweep measures iterations until the accuracy is
     # reached for good, so a straggler gradient still in flight must not be
@@ -464,20 +469,12 @@ def _scaling_point(preset: str, objective, slow_factor: float, epsilon: float,
     x0 = np.zeros(objective.dim)
     noise = NoiseModel(0.0)
 
-    def run(eta: float, budget: Optional[int]) -> TuneOutcome:
-        stop_eff = stop if budget is None or budget >= stop.max_iterations else replace(
-            stop, max_iterations=budget)
-        trace = run_homogeneous(objective, noise, workers, MaxConcurrency(),
-                                ConstantStepsize(eta), x0, stop_eff, master_seed=seed)
-        return TuneOutcome(
-            iterations_to_target=len(trace) if trace.converged else None,
-            final_error=metrics_mod.last_k_error(trace, warn_short=False),
-            diverged=trace.diverged,
-        )
+    def simulate(eta: float, stop: StopRule):
+        return run_homogeneous(objective, noise, workers, MaxConcurrency(),
+                               ConstantStepsize(eta), x0, stop, master_seed=seed)
 
-    result = grid_tune(run, grid, criterion="min_T_to_eps")
-    best = run_homogeneous(objective, noise, workers, MaxConcurrency(),
-                           ConstantStepsize(result.best_eta), x0, stop, master_seed=seed)
+    result = grid_tune(make_tuning_runner(simulate, stop), grid, criterion="min_T_to_eps")
+    best = simulate(result.best_eta, stop)
     observed = metrics_mod.max_delay(best.ledger)
     return ScalingPoint(
         slow_factor=float(slow_factor),
@@ -493,7 +490,7 @@ def _scaling_point(preset: str, objective, slow_factor: float, epsilon: float,
 
 def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 1e-14,
                        points_per_decade: int = 4, max_iterations: int = 200_000,
-                       seed: int = 0, threads: int = 1) -> ScalingReport:
+                       seed: int = 0) -> ScalingReport:
     """Tune and run the two-worker straggler sweep for one problem preset."""
     if preset == "quadratic":
         objective = make_quadratic(10, 1.0, 2.0, seed=seed)
@@ -504,16 +501,8 @@ def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 
     if len(slow_factors) < 2:
         raise InvalidConfigError("scaling needs at least 2 slow factors")
     grid = default_log_grid(points_per_decade=points_per_decade)
-
-    def one(x: float) -> ScalingPoint:
-        return _scaling_point(preset, objective, x, epsilon, grid, max_iterations, seed)
-
-    factors = sorted(float(x) for x in slow_factors)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(one, factors))
-    else:
-        points = [one(x) for x in factors]
+    points = [_scaling_point(objective, x, epsilon, grid, max_iterations, seed)
+              for x in sorted(float(x) for x in slow_factors)]
 
     warnings = [
         f"tuned stepsize for slow factor {p.slow_factor:g} sits on the grid edge"
@@ -537,7 +526,6 @@ def cmd_scaling(args) -> int:
         args.preset, factors, epsilon=args.epsilon,
         points_per_decade=args.points_per_decade,
         max_iterations=args.max_iterations, seed=args.seed or 0,
-        threads=args.threads,
     )
     write_json(out / "scaling.json", report.to_dict())
     write_csv(
@@ -572,30 +560,24 @@ def cmd_scaling(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
+    built = cfg.built
+    objective, workers, stop, noise, x0 = (built.objective, built.workers, built.stop,
+                                           built.noise, built.x0)
+    _expect(not isinstance(objective, HeterogeneousFamily), "config.objective",
+            "compare runs homogeneous fleets")
+    _expect(stop.has_target, "config.stop", "compare needs grad_tol or last_k_tol")
     seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    objective = cfg.build_objective()
-    _expect(not isinstance(objective, HeterogeneousFamily), "config.objective",
-            "compare runs homogeneous fleets")
-    workers = cfg.build_workers()
     n = len(workers)
-    stop = cfg.build_stop()
-    _expect(stop.has_target, "config.stop", "compare needs grad_tol or last_k_tol")
-    x0 = cfg.initial_point(objective)
-    noise = NoiseModel(cfg.noise_sigma)
-    grid = tuning_grid(cfg) if cfg.tuning else default_log_grid(points_per_decade=2)
+    grid = built.grid if cfg.tuning else default_log_grid(points_per_decade=2)
 
     def tune_policy(policy):
-        def run(eta: float, budget: Optional[int]) -> TuneOutcome:
-            stop_eff = stop if budget is None or budget >= stop.max_iterations else replace(
-                stop, max_iterations=budget)
-            trace = run_homogeneous(objective, noise, workers, policy,
-                                    ConstantStepsize(eta), x0, stop_eff, master_seed=seed)
-            return TuneOutcome(len(trace) if trace.converged else None,
-                               metrics_mod.last_k_error(trace, warn_short=False), trace.diverged)
+        def simulate(eta: float, stop: StopRule):
+            return run_homogeneous(objective, noise, workers, policy, ConstantStepsize(eta),
+                                   x0, stop, master_seed=seed)
 
-        return grid_tune(run, grid, criterion="min_T_to_eps")
+        return grid_tune(make_tuning_runner(simulate, stop), grid, criterion="min_T_to_eps")
 
     async_tuned = tune_policy(MaxConcurrency())
     minibatch_tuned = tune_policy(MiniBatch(batch_size=n))
@@ -736,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=200_000)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("compare", help="async vs minibatch on one fleet")

@@ -364,9 +364,6 @@ class SimState:
             w.worker_id: named_stream(master_seed, f"noise-worker-{w.worker_id}")
             for w in workers
         }
-        self._noise_scale = (
-            noise.sigma / math.sqrt(self.x.shape[0]) if noise.sigma > 0 else 0.0
-        )
 
         # trace columns
         self._col_worker: list[int] = []
@@ -404,10 +401,8 @@ class SimState:
         finish = begin + duration
         self._free_at[worker_id] = finish
         grad = self.cur_grad if self._shifts is None else self.cur_grad + self._shifts[client_id]
-        if self._noise_scale > 0.0:
-            grad = grad + self._noise_scale * self._noise_rngs[worker_id].standard_normal(
-                self.x.shape[0]
-            )
+        if self.noise.sigma > 0.0:
+            grad = grad + self.noise.sample(self.x.shape[0], self._noise_rngs[worker_id])
         heappush(
             self._heap,
             (finish, self._tie_key(worker_id), self._seq, worker_id, client_id, self.t, grad),

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InvalidSpecError, TuningFailedError
 
 STRICT_SHAVE = 1e-9
+TUNING_CRITERIA = ("min_T_to_eps", "min_final_error")
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def grid_tune(
 
     Raises ``TuningFailedError`` when no grid point produces a usable metric.
     """
-    if criterion not in ("min_T_to_eps", "min_final_error"):
+    if criterion not in TUNING_CRITERIA:
         raise InvalidSpecError(f"unknown tuning criterion {criterion!r}")
     grid = sorted(float(g) for g in grid)
     if not grid:

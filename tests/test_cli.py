@@ -2,11 +2,11 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from asgdsim import InvalidConfigError
+from asgdsim import InvalidConfigError, cli
 from asgdsim.cli import ExperimentConfig, load_config, main, parse_deltas, run_config
+from asgdsim.objectives import make_quadratic
 
 
 def tiny_config(**overrides):
@@ -82,9 +82,8 @@ class TestConfigParsing:
     def test_int_is_accepted_where_float_expected(self):
         data = tiny_config(stepsize={"kind": "constant", "eta": 1})
         cfg = ExperimentConfig.from_dict(data)
-        obj = cfg.build_objective()
-        rule = cfg.build_stepsize(obj, np.zeros(obj.dim))
-        assert rule.eta == 1.0
+        assert cfg.built.stepsize.eta == 1.0
+        assert isinstance(cfg.built.stepsize.eta, float)
 
     def test_run_config_executes(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
@@ -110,6 +109,22 @@ BAD_EXAMPLES = {
                             "config.stop.last_k_tol"),
     "string_require_quiescent": (lambda d: d["stop"].update(require_quiescent="false"),
                                  "config.stop.require_quiescent"),
+    "negative_delta": (lambda d: d["workers"][0].update(delta=-1.0),
+                       "config.workers[0]: compute time"),
+    "minibatch_smaller_than_fleet": (
+        lambda d: d.update(policy={"kind": "minibatch", "batch_size": 3}),
+        "config.policy.batch_size"),
+    "nan_tuning_value": (lambda d: d["tuning"].update(values=[math.nan, 0.1]),
+                         "config.tuning.values[0]"),
+    "string_points_per_decade": (lambda d: d["tuning"].update(points_per_decade="2"),
+                                 "config.tuning.points_per_decade"),
+    "negative_tuning_low": (lambda d: d["tuning"].update(low=-1), "config.tuning.low"),
+    "unknown_criterion": (lambda d: d["tuning"].update(criterion="fastest"),
+                          "config.tuning.criterion"),
+    # stepsize rules name the offending field after the block's path
+    "negative_eta": (lambda d: d["stepsize"].update(eta=-1), "config.stepsize: eta"),
+    "bad_mode": (lambda d: d["stepsize"].update(kind="delay_adaptive", mode="clip"),
+                 "config.stepsize: mode"),
 }
 
 
@@ -129,7 +144,7 @@ class TestConfigBoundary:
     def test_require_quiescent_takes_json_booleans(self, flag):
         cfg = ExperimentConfig.from_dict(
             tiny_config(stop={"max_iterations": 60, "require_quiescent": flag}))
-        assert cfg.build_stop().require_quiescent is flag
+        assert cfg.built.stop.require_quiescent is flag
 
 
 class TestParseDeltas:
@@ -178,6 +193,9 @@ class TestExitCodes:
         assert exc.value.code == 1
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--preset", "quadratic", "--threads", "2", "--out", "unused"])
         assert exc.value.code == 1
 
     def test_tuning_failure_exits_2(self, tmp_path):
@@ -254,6 +272,31 @@ class TestSubcommands:
         best = json.loads((out / "best_metrics.json").read_text())
         assert best["converged"] is True
         assert (out / "best_trace.csv").exists()
+
+    def test_tune_builds_the_objective_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return make_quadratic(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_quadratic", counted)
+        data = tiny_config(stop={"max_iterations": 500, "grad_tol": 1e-8},
+                           tuning={"values": [0.05, 0.2, 0.5]})
+        assert main(["tune", write_config(tmp_path, data), "--out", str(tmp_path / "t")]) == 0
+        assert len(calls) == 1
+
+    def test_tune_adaptive_bounds_use_the_rule_that_ran(self, tmp_path):
+        # two workers, so the policy's concurrency (2) differs from the rule's (1)
+        data = tiny_config(
+            stop={"max_iterations": 2000, "grad_tol": 1e-6},
+            stepsize={"kind": "delay_adaptive", "lipschitz": 5.0, "concurrency": 1},
+            tuning={"values": [0.1, 0.2]},
+        )
+        out = tmp_path / "tuned"
+        assert main(["tune", write_config(tmp_path, data), "--out", str(out)]) == 0
+        bounds = json.loads((out / "tuning.json").read_text())["adaptive_eta_bounds"]
+        assert bounds == {"plain_bound": 0.05, "concurrency_bound": 0.05, "eta": 0.05}
 
     def test_speedup_payload_matches_closed_form(self, tmp_path):
         out = tmp_path / "s"
