@@ -294,15 +294,13 @@ def _build_policy(spec: dict, n_workers: int):
         size = _field(spec, "batch_size", path, int, required=False, default=n_workers)
         _expect(size == n_workers, f"{path}.batch_size",
                 f"must equal the fleet size {n_workers}, got {size}")
-        return MiniBatch(size)
+        return MiniBatch()
     if kind == "sampled_minibatch":
         size = _field(spec, "batch_size", path, int)
-        _expect(size >= 1, f"{path}.batch_size", "must be at least 1")
-        return SampledMiniBatch(size)
+        return _at(f"{path}.batch_size", SampledMiniBatch, size)
     if kind == "uniform_client_sampling":
         concurrency = _field(spec, "concurrency", path, int)
-        _expect(concurrency >= 1, f"{path}.concurrency", "must be at least 1")
-        return UniformClientSampling(concurrency)
+        return _at(f"{path}.concurrency", UniformClientSampling, concurrency)
     raise InvalidConfigError(f"{path}.kind: unknown policy {kind!r}")
 
 
@@ -498,8 +496,6 @@ def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 
         objective = make_logistic(100, 20, seed=seed)
     else:
         raise InvalidConfigError(f"preset: unknown preset {preset!r}")
-    if len(slow_factors) < 2:
-        raise InvalidConfigError("scaling needs at least 2 slow factors")
     grid = default_log_grid(points_per_decade=points_per_decade)
     points = [_scaling_point(objective, x, epsilon, grid, max_iterations, seed)
               for x in sorted(float(x) for x in slow_factors)]
@@ -519,9 +515,10 @@ def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 
 
 
 def cmd_scaling(args) -> int:
+    factors = _parse_numbers(args.slow_factors, "--slow-factors", counted=False)
+    _expect(len(factors) >= 2, "--slow-factors", f"needs at least 2 values, got {len(factors)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    factors = [float(tok) for tok in args.slow_factors.split(",") if tok]
     report = scaling_experiment(
         args.preset, factors, epsilon=args.epsilon,
         points_per_decade=args.points_per_decade,
@@ -580,7 +577,7 @@ def cmd_compare(args) -> int:
         return grid_tune(make_tuning_runner(simulate, stop), grid, criterion="min_T_to_eps")
 
     async_tuned = tune_policy(MaxConcurrency())
-    minibatch_tuned = tune_policy(MiniBatch(batch_size=n))
+    minibatch_tuned = tune_policy(MiniBatch())
     eta = async_tuned.best_eta
     policies = {
         "async_constant": (MaxConcurrency(), ConstantStepsize(eta)),
@@ -592,7 +589,7 @@ def cmd_compare(args) -> int:
             MaxConcurrency(),
             DelayAdaptiveStepsize(eta, objective.smoothness, n, "drop"),
         ),
-        "minibatch": (MiniBatch(batch_size=n), ConstantStepsize(minibatch_tuned.best_eta)),
+        "minibatch": (MiniBatch(), ConstantStepsize(minibatch_tuned.best_eta)),
     }
     table: dict[str, dict] = {}
     curve_rows = []
@@ -604,6 +601,8 @@ def cmd_compare(args) -> int:
         info = metrics_mod.summary(trace)
         info["eta"] = stepsize.eta
         table[name] = info
+        print(f"compare[{name}]: eta {stepsize.eta:g}, iterations {len(trace)}, "
+              f"sim time {trace.total_sim_time:g}, converged {trace.converged}")
         if not trace.converged:
             exit_code = 2
         for t in range(len(trace)):
@@ -619,27 +618,32 @@ def cmd_compare(args) -> int:
         line_chart_svg(curve_series, "gradient norm vs simulated time", "sim time",
                        "grad norm (log)", log_y=True, markers=False)
     )
-    for name, info in table.items():
-        print(f"compare[{name}]: eta {info['eta']:g}, iterations {info['iterations']}, "
-              f"sim time {info['total_sim_time']:g}, converged {info['converged']}")
     return exit_code
+
+
+def _parse_numbers(spec: str, flag: str, counted: bool) -> list[float]:
+    """Finite positive numbers from a comma list; ``counted`` allows "value:count" groups.
+
+    Errors are ``InvalidConfigError``s that name ``flag``.
+    """
+    out: list[float] = []
+    for token in filter(None, (tok.strip() for tok in spec.split(","))):
+        value, _, count = token.partition(":") if counted else (token, "", "")
+        try:
+            number, repeat = float(value), int(count) if count else 1
+        except ValueError:
+            raise InvalidConfigError(f"{flag}: {token!r} is not a number") from None
+        _expect(math.isfinite(number) and number > 0, flag,
+                f"{token!r} must be finite and positive")
+        _expect(repeat >= 1, flag, f"count in {token!r} must be at least 1")
+        out.extend([number] * repeat)
+    _expect(bool(out), flag, "empty list")
+    return out
 
 
 def parse_deltas(spec: str) -> list[float]:
     """Parse a fleet spec like "10:900,60:100" (speed:count) or "1,3,5"."""
-    out: list[float] = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            value, _, count = token.partition(":")
-            out.extend([float(value)] * int(count))
-        else:
-            out.append(float(token))
-    if not out:
-        raise InvalidConfigError("deltas: empty fleet specification")
-    return out
+    return _parse_numbers(spec, "--deltas", counted=True)
 
 
 def cmd_speedup(args) -> int:

@@ -13,18 +13,26 @@ iteration t has delay t - s.  Jobs queued on a busy worker (sampled
 policies allow that) wait FIFO behind it, and their delay keeps growing
 while they wait, so the active set is a true multiset.
 
-Policies:
+Worker i always computes client i's gradient.  A policy only decides who
+gets the next jobs: ``start(n, rng)`` names the workers seeded before
+iteration 0 and ``after(t, worker, busy, rng)`` those handed a job once
+``worker``'s gradient has been applied as iteration t - 1, given the
+in-flight job count per worker and the "client-sampling" stream.
 
-* ``MaxConcurrency``         reassign the finishing worker immediately.
-* ``MiniBatch``              all workers compute at the same point; the
+* ``MaxConcurrency``         seed every worker; reassign the finishing
+                             worker immediately.
+* ``MiniBatch``              all n workers compute at the same point; the
                              batch is refilled only once every gradient of
-                             the previous batch has been applied.
-* ``SampledMiniBatch``       like ``MiniBatch`` but each batch draws its
-                             clients uniformly with replacement.
-* ``UniformClientSampling``  constant concurrency; each applied gradient
-                             triggers one uniform client draw, busy clients
-                             simply accumulate queued jobs.
-* ``CustomSelection``        caller-provided assignment table or callback.
+                             the previous batch has been applied (t % n == 0).
+* ``SampledMiniBatch``       like ``MiniBatch`` but each batch of
+                             ``batch_size`` draws its clients uniformly with
+                             replacement, so a batch may exceed the fleet.
+* ``UniformClientSampling``  ``concurrency`` uniform draws at the start, then
+                             one per applied gradient; busy clients simply
+                             accumulate queued jobs.
+* ``CustomSelection``        seed every worker; then a caller-provided table
+                             or ``select(step, busy, rng)`` callback, which
+                             may only pick idle workers.
 """
 
 from __future__ import annotations
@@ -60,8 +68,8 @@ class ConstantTime:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise InvalidConfigError(f"compute time must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise InvalidConfigError(f"compute time must be positive and finite, got {self.delta}")
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.delta
@@ -89,10 +97,12 @@ class StragglerTime:
     straggle_prob: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise InvalidConfigError(f"compute time must be positive, got {self.delta}")
-        if self.slow_factor < 1:
-            raise InvalidConfigError(f"slow_factor must be at least 1, got {self.slow_factor}")
+        if not 0 < self.delta < math.inf:
+            raise InvalidConfigError(f"compute time must be positive and finite, got {self.delta}")
+        if not 1 <= self.slow_factor < math.inf:
+            raise InvalidConfigError(
+                f"slow_factor must be finite and at least 1, got {self.slow_factor}"
+            )
         if not 0 <= self.straggle_prob <= 1:
             raise InvalidConfigError(f"straggle_prob must lie in [0, 1], got {self.straggle_prob}")
 
@@ -114,21 +124,29 @@ def constant_fleet(deltas: Sequence[float]) -> list[WorkerModel]:
 
 
 # ---------------------------------------------------------------------------
-# scheduling policies
+# scheduling policies (the start/after interface is in the module docstring)
 
 
 @dataclass(frozen=True)
 class MaxConcurrency:
     """Keep every worker busy: the finishing worker is reassigned at once."""
 
-    worker_ids: Optional[tuple[int, ...]] = None
+    def start(self, n: int, rng) -> Sequence[int]:
+        return range(n)
+
+    def after(self, t: int, worker: int, busy: list[int], rng) -> Sequence[int]:
+        return (worker,)
 
 
 @dataclass(frozen=True)
 class MiniBatch:
-    """Synchronous minibatch: refill all workers after a full batch is applied."""
+    """Synchronous minibatch over the fleet: refill every worker after a full batch."""
 
-    batch_size: int
+    def start(self, n: int, rng) -> Sequence[int]:
+        return range(n)
+
+    def after(self, t: int, worker: int, busy: list[int], rng) -> Sequence[int]:
+        return range(len(busy)) if t % len(busy) == 0 else ()
 
 
 @dataclass(frozen=True)
@@ -137,6 +155,16 @@ class SampledMiniBatch:
 
     batch_size: int
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise InvalidConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+
+    def start(self, n: int, rng) -> Sequence[int]:
+        return rng.integers(0, n, size=self.batch_size).tolist()
+
+    def after(self, t: int, worker: int, busy: list[int], rng) -> Sequence[int]:
+        return self.start(len(busy), rng) if t % self.batch_size == 0 else ()
+
 
 @dataclass(frozen=True)
 class UniformClientSampling:
@@ -144,23 +172,55 @@ class UniformClientSampling:
 
     concurrency: int
 
+    def __post_init__(self):
+        if self.concurrency < 1:
+            raise InvalidConfigError(f"concurrency must be at least 1, got {self.concurrency}")
+
+    def start(self, n: int, rng) -> Sequence[int]:
+        return rng.integers(0, n, size=self.concurrency).tolist()
+
+    def after(self, t: int, worker: int, busy: list[int], rng) -> Sequence[int]:
+        return (int(rng.integers(0, len(busy))),)
+
 
 @dataclass(frozen=True)
 class CustomSelection:
-    """Assignments supplied by the caller.
+    """Assignments supplied by the caller; every worker is seeded before iteration 0.
 
-    Exactly one of ``table`` (list indexed by applied-step, exhausted steps
-    assign nothing) or ``select`` (callback ``(step, state) -> worker ids``)
-    must be given.  ``initial`` lists the workers seeded before iteration 0
-    and defaults to all of them.
+    Exactly one of ``table`` (list indexed by applied step, exhausted steps
+    assign nothing) or ``select`` (callback ``(step, busy, rng) -> worker
+    ids``, where ``busy`` is a tuple of in-flight job counts per worker and
+    ``rng`` the client-sampling stream) must be given.  Selecting a worker
+    twice, an unknown worker or a busy one raises ``InvalidSelectionError``.
     """
 
     table: Optional[Sequence[Sequence[int]]] = None
-    select: Optional[Callable[[int, "SimState"], Sequence[int]]] = None
-    initial: Optional[tuple[int, ...]] = None
+    select: Optional[Callable[[int, tuple[int, ...], np.random.Generator], Sequence[int]]] = None
 
+    def __post_init__(self):
+        if (self.table is None) == (self.select is None):
+            raise InvalidConfigError("custom policy needs exactly one of table or select")
 
-MULTISET_POLICIES = (SampledMiniBatch, UniformClientSampling)
+    def start(self, n: int, rng) -> Sequence[int]:
+        return range(n)
+
+    def after(self, t: int, worker: int, busy: list[int], rng) -> Sequence[int]:
+        step = t - 1
+        if self.table is not None:
+            chosen = self.table[step] if step < len(self.table) else ()
+        else:
+            chosen = self.select(step, tuple(busy), rng)
+        chosen = sorted(int(w) for w in chosen)
+        if len(set(chosen)) != len(chosen):
+            raise InvalidSelectionError(f"duplicate workers selected at step {step}")
+        for w in chosen:
+            if not 0 <= w < len(busy):
+                raise InvalidSelectionError(f"worker {w} does not exist")
+            if busy[w]:
+                raise InvalidSelectionError(
+                    f"worker {w} selected at step {step} while still computing"
+                )
+        return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +301,8 @@ class RunTrace:
     """Per-iteration record of a run plus its delay ledger.
 
     Row t holds the state just before server update t: the gradient norm and
-    objective value at x^t, the applied job's worker/client/delay/stepsize,
+    objective value at x^t, the applied job's worker/delay/stepsize (worker
+    i computes client i's gradient, so ``client_ids`` repeats ``worker_ids``),
     the simulated clock at application, the number of jobs handed out at that
     step and |C_t|.
     """
@@ -294,7 +355,6 @@ class InFlightJob:
     """Read-only view of one assigned-but-unapplied job."""
 
     worker_id: int
-    client_id: int
     start_iteration: int
     finish_time: float
 
@@ -302,7 +362,7 @@ class InFlightJob:
 # ---------------------------------------------------------------------------
 # simulation state
 
-# heap entries: (finish_time, tie_key, seq, worker_id, client_id, start_iteration, grad)
+# heap entries: (finish_time, tie_key, seq, worker_id, start_iteration, grad)
 
 
 class SimState:
@@ -367,14 +427,13 @@ class SimState:
 
         # trace columns
         self._col_worker: list[int] = []
-        self._col_client: list[int] = []
         self._col_delay: list[int] = []
         self._col_eta: list[float] = []
         self._col_grad_norm: list[float] = []
         self._col_value: list[float] = []
         self._col_sim_time: list[float] = []
         self._col_assigned: list[int] = []
-        # the ledger shares _col_delay and _col_client; concurrency_log[t] is
+        # the ledger shares _col_delay and _col_worker; concurrency_log[t] is
         # |C_t|, the trace's concurrency column before event t
         self._samples: dict[int, int] = {}
         self.concurrency_log: list[int] = []
@@ -386,7 +445,8 @@ class SimState:
         self._stall_ref_mean: Optional[float] = None
         self._stall_next_t = 0
 
-        self._seed_initial_jobs()
+        for w in policy.start(len(self.workers), self._client_rng):
+            self._assign(w)
         self.concurrency_log.append(len(self._heap))
 
     # -- assignment ---------------------------------------------------------
@@ -394,90 +454,20 @@ class SimState:
     def _tie_key(self, worker_id: int) -> int:
         return -worker_id if self.faults.invert_ties else worker_id
 
-    def _assign(self, worker_id: int, client_id: int) -> None:
+    def _assign(self, worker_id: int) -> None:
         model = self.workers[worker_id]
         duration = model.compute_time.sample(self._delay_rng)
         begin = max(self.sim_time, self._free_at[worker_id])
         finish = begin + duration
         self._free_at[worker_id] = finish
-        grad = self.cur_grad if self._shifts is None else self.cur_grad + self._shifts[client_id]
+        grad = self.cur_grad if self._shifts is None else self.cur_grad + self._shifts[worker_id]
         if self.noise.sigma > 0.0:
             grad = grad + self.noise.sample(self.x.shape[0], self._noise_rngs[worker_id])
-        heappush(
-            self._heap,
-            (finish, self._tie_key(worker_id), self._seq, worker_id, client_id, self.t, grad),
-        )
+        heappush(self._heap,
+                 (finish, self._tie_key(worker_id), self._seq, worker_id, self.t, grad))
         self._seq += 1
         self._busy[worker_id] += 1
-        self._samples[client_id] = self._samples.get(client_id, 0) + 1
-
-    def _seed_initial_jobs(self) -> None:
-        policy = self.policy
-        n = len(self.workers)
-        if isinstance(policy, MaxConcurrency):
-            ids = sorted(policy.worker_ids) if policy.worker_ids else range(n)
-            for w in ids:
-                self._check_known(w)
-                self._assign(w, w)
-        elif isinstance(policy, MiniBatch):
-            if policy.batch_size != n:
-                raise InvalidConfigError(
-                    f"minibatch size {policy.batch_size} must equal the fleet size {n}"
-                )
-            for w in range(n):
-                self._assign(w, w)
-        elif isinstance(policy, SampledMiniBatch):
-            if policy.batch_size < 1:
-                raise InvalidConfigError("batch_size must be at least 1")
-            for c in self._client_rng.integers(0, n, size=policy.batch_size):
-                self._assign(int(c), int(c))
-        elif isinstance(policy, UniformClientSampling):
-            if policy.concurrency < 1:
-                raise InvalidConfigError("concurrency must be at least 1")
-            for c in self._client_rng.integers(0, n, size=policy.concurrency):
-                self._assign(int(c), int(c))
-        elif isinstance(policy, CustomSelection):
-            if (policy.table is None) == (policy.select is None):
-                raise InvalidConfigError("custom policy needs exactly one of table or select")
-            ids = sorted(policy.initial) if policy.initial else range(n)
-            for w in ids:
-                self._check_known(w)
-                self._assign(w, w)
-        else:
-            raise InvalidConfigError(f"unknown policy {policy!r}")
-
-    def _check_known(self, worker_id: int) -> None:
-        if not 0 <= worker_id < len(self.workers):
-            raise InvalidSelectionError(f"worker {worker_id} does not exist")
-
-    def _select_new_jobs(self, applied_step: int, applied_worker: int) -> list[tuple[int, int]]:
-        policy = self.policy
-        n = len(self.workers)
-        if isinstance(policy, MaxConcurrency):
-            return [(applied_worker, applied_worker)]
-        if isinstance(policy, MiniBatch):
-            if self.t % policy.batch_size == 0:
-                return [(w, w) for w in range(n)]
-            return []
-        if isinstance(policy, SampledMiniBatch):
-            if self.t % policy.batch_size == 0:
-                draws = self._client_rng.integers(0, n, size=policy.batch_size)
-                return [(int(c), int(c)) for c in draws]
-            return []
-        if isinstance(policy, UniformClientSampling):
-            c = int(self._client_rng.integers(0, n))
-            return [(c, c)]
-        # custom
-        if policy.table is not None:
-            chosen = policy.table[applied_step] if applied_step < len(policy.table) else ()
-        else:
-            chosen = policy.select(applied_step, self)
-        chosen = [int(w) for w in chosen]
-        if len(set(chosen)) != len(chosen):
-            raise InvalidSelectionError(f"duplicate workers selected at step {applied_step}")
-        for w in sorted(chosen):
-            self._check_known(w)
-        return [(w, w) for w in sorted(chosen)]
+        self._samples[worker_id] = self._samples.get(worker_id, 0) + 1
 
     # -- views ----------------------------------------------------------------
 
@@ -487,20 +477,20 @@ class SimState:
 
     def in_flight_jobs(self) -> list[InFlightJob]:
         return [
-            InFlightJob(entry[3], entry[4], entry[5], entry[0]) for entry in sorted(self._heap)
+            InFlightJob(entry[3], entry[4], entry[0]) for entry in sorted(self._heap)
         ]
 
     # -- finalization -----------------------------------------------------------
 
     def finalize(self, stop_reason: str, converged: bool) -> RunTrace:
         remaining = sorted(self._heap)
-        active_starts = [entry[5] for entry in remaining]
-        active_clients = [entry[4] for entry in remaining]
+        active_starts = [entry[4] for entry in remaining]
+        active_clients = [entry[3] for entry in remaining]
         excluded = 0 if remaining else None
         ledger = DelayLedger(
             total_iterations=self.t,
             applied_delays=self._col_delay,
-            applied_clients=self._col_client,
+            applied_clients=self._col_worker,
             active_start_iterations=active_starts,
             active_clients=active_clients,
             concurrency_log=self.concurrency_log,
@@ -509,7 +499,7 @@ class SimState:
         )
         return RunTrace(
             worker_ids=np.array(self._col_worker, dtype=int),
-            client_ids=np.array(self._col_client, dtype=int),
+            client_ids=np.array(self._col_worker, dtype=int),
             delays=np.array(self._col_delay, dtype=int),
             stepsizes=np.array(self._col_eta, dtype=float),
             grad_norms=np.array(self._col_grad_norm, dtype=float),
@@ -535,7 +525,7 @@ def advance_event(state: SimState) -> SimState:
         raise SimulationDeadlockError(
             f"no jobs in flight at iteration {state.t}; the policy starved the queue"
         )
-    finish, _, _, worker_id, client_id, start_iteration, grad = heappop(state._heap)
+    finish, _, _, worker_id, start_iteration, grad = heappop(state._heap)
     state._busy[worker_id] -= 1
     t = state.t
     delay = t - start_iteration
@@ -543,7 +533,6 @@ def advance_event(state: SimState) -> SimState:
     eta = state.stepsize.at(t, delay)
 
     state._col_worker.append(worker_id)
-    state._col_client.append(client_id)
     state._col_delay.append(recorded_delay)
     state._col_eta.append(eta)
     state._col_grad_norm.append(state.cur_grad_norm)
@@ -560,15 +549,9 @@ def advance_event(state: SimState) -> SimState:
     if state._last_k is not None:
         state._last_k.append(state.cur_grad_norm)
 
-    selection = state._select_new_jobs(t, worker_id)
-    if selection and not isinstance(state.policy, MULTISET_POLICIES):
-        for w, _ in selection:
-            if state._busy[w] > 0:
-                raise InvalidSelectionError(
-                    f"worker {w} selected at step {t} while still computing"
-                )
-    for w, c in selection:
-        state._assign(w, c)
+    selection = state.policy.after(state.t, worker_id, state._busy, state._client_rng)
+    for w in selection:
+        state._assign(w)
     state._col_assigned.append(len(selection))
     state.concurrency_log.append(len(state._heap))
     return state

@@ -25,6 +25,7 @@ Two in-flight conventions coexist and both are supported:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -227,8 +228,16 @@ def weighted_grad_norm_average(trace, weights: str = "uniform") -> float:
     return float((w * squared).sum() / total)
 
 
+def _finite_or_none(value) -> Optional[float]:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def summary(trace, last_k: int = 30) -> dict:
-    """JSON-ready summary of a run: delay statistics, conservation check, errors."""
+    """JSON-ready summary of a run: delay statistics, conservation check, errors.
+
+    Non-finite floats (a diverged run's norms, an overflowed clock) become ``None``.
+    """
     ledger = trace.ledger
     check = delay_conservation(ledger)
     avg = average_delay_exact(ledger)
@@ -237,9 +246,9 @@ def summary(trace, last_k: int = 30) -> dict:
         "converged": bool(trace.converged),
         "diverged": bool(trace.diverged),
         "stop_reason": trace.stop_reason,
-        "final_grad_norm": float(trace.final_grad_norm),
-        "final_objective_value": float(trace.final_value),
-        "error_last30": last_k_error(trace, last_k),
+        "final_grad_norm": _finite_or_none(trace.final_grad_norm),
+        "final_objective_value": _finite_or_none(trace.final_value),
+        "error_last30": _finite_or_none(last_k_error(trace, last_k)),
         "tau_avg": float(avg),
         "tau_avg_exact": f"{avg.numerator}/{avg.denominator}",
         "tau_max": max_delay(ledger),
@@ -250,6 +259,6 @@ def summary(trace, last_k: int = 30) -> dict:
         },
         "delay_conservation": {"lhs": check.lhs, "rhs": check.rhs, "pass": check.passed},
         "in_flight_convention": ledger.in_flight_convention,
-        "total_sim_time": float(trace.total_sim_time),
+        "total_sim_time": _finite_or_none(trace.total_sim_time),
         "gradients_started": int(ledger.concurrency_log[0]) + int(np.sum(trace.n_assigned)),
     }

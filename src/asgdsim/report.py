@@ -99,7 +99,8 @@ class ScalingReport:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Standard JSON only: a NaN or infinity in ``payload`` raises ``ValueError``."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

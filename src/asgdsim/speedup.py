@@ -37,8 +37,8 @@ class SpeedupInput:
     def __post_init__(self):
         if len(self.deltas) < 1:
             raise InvalidSpecError("need at least one client speed")
-        if any(d <= 0 for d in self.deltas):
-            raise InvalidSpecError("client speeds must be positive")
+        if not all(0 < d < math.inf for d in self.deltas):
+            raise InvalidSpecError("client speeds must be positive and finite")
         if self.concurrency < 1:
             raise InvalidSpecError(f"concurrency must be at least 1, got {self.concurrency}")
         object.__setattr__(self, "deltas", tuple(sorted(float(d) for d in self.deltas)))

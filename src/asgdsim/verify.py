@@ -114,7 +114,7 @@ def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
     if roll == 0:
         policy = MaxConcurrency()
     elif roll == 1:
-        policy = MiniBatch(batch_size=n)
+        policy = MiniBatch()
     elif roll == 2:
         policy = SampledMiniBatch(batch_size=int(rng.integers(1, 2 * n + 1)))
     elif roll == 3:
@@ -122,12 +122,12 @@ def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
     else:
         from .engine import CustomSelection
 
-        def pick_idle(step: int, state) -> list[int]:
-            idle = [w for w in range(len(state.workers)) if state._busy[w] == 0]
+        def pick_idle(step: int, busy: tuple[int, ...], client_rng) -> list[int]:
+            idle = [w for w, jobs in enumerate(busy) if jobs == 0]
             if not idle:
                 return []
-            take = int(state._client_rng.integers(0, len(idle) + 1))
-            return idle[:take] if take else [idle[0]] if state.in_flight_count == 0 else []
+            take = int(client_rng.integers(0, len(idle) + 1))
+            return idle[:take] if take else [idle[0]] if sum(busy) == 0 else []
 
         policy = CustomSelection(select=pick_idle)
 
@@ -247,7 +247,7 @@ def check_minibatch_matches_direct(seed: int = 17, batch_sizes=(2, 4, 8),
             batches = 10
             x0 = np.zeros(6)
             trace = run_homogeneous(
-                objective, noise, constant_fleet([1.0] * n), MiniBatch(batch_size=n),
+                objective, noise, constant_fleet([1.0] * n), MiniBatch(),
                 ConstantStepsize(eta), x0, StopRule(max_iterations=n * batches),
                 master_seed=master,
             )

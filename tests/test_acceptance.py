@@ -186,7 +186,7 @@ def test_05_batch_policy_reproduces_direct_minibatch_sgd():
         for n in (2, 4, 8):
             n_batches = 25
             trace = run_homogeneous(
-                obj, NoiseModel(0.1), constant_fleet([1.0] * n), MiniBatch(n),
+                obj, NoiseModel(0.1), constant_fleet([1.0] * n), MiniBatch(),
                 ConstantStepsize(0.05), x0,
                 StopRule(max_iterations=n * n_batches),
                 master_seed=master, record_iterates=True)

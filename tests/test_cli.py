@@ -7,6 +7,7 @@ import pytest
 from asgdsim import InvalidConfigError, cli
 from asgdsim.cli import ExperimentConfig, load_config, main, parse_deltas, run_config
 from asgdsim.objectives import make_quadratic
+from asgdsim.report import write_json
 
 
 def tiny_config(**overrides):
@@ -145,6 +146,49 @@ class TestConfigBoundary:
         cfg = ExperimentConfig.from_dict(
             tiny_config(stop={"max_iterations": 60, "require_quiescent": flag}))
         assert cfg.built.stop.require_quiescent is flag
+
+
+# command lines whose number list is bad in one way; the error must name the flag
+BAD_FLAG_LISTS = {
+    "slow_factor_not_a_number": ["scaling", "--preset", "quadratic", "--slow-factors", "1,x,4"],
+    "infinite_slow_factor": ["scaling", "--preset", "quadratic", "--slow-factors", "inf,1,2"],
+    "single_slow_factor": ["scaling", "--preset", "quadratic", "--slow-factors", "4"],
+    "delta_not_a_number": ["speedup", "--deltas", "1,a", "--concurrency", "1"],
+    "nan_delta": ["speedup", "--deltas", "nan,1", "--concurrency", "1"],
+    "zero_delta_count": ["speedup", "--deltas", "1:0,2", "--concurrency", "1"],
+}
+
+
+class TestFlagLists:
+    @pytest.mark.parametrize("name", sorted(BAD_FLAG_LISTS))
+    def test_bad_list_exits_1_naming_the_flag(self, name, tmp_path, capsys):
+        argv = BAD_FLAG_LISTS[name]
+        flag = next(arg for arg in argv if arg in ("--slow-factors", "--deltas"))
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and flag in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestStandardJson:
+    def test_diverged_run_writes_null_not_infinity(self, tmp_path):
+        data = json.loads(EXAMPLE.read_text())
+        data["stepsize"]["eta"] = 50
+        data["stop"]["diverge_above"] = 1e308
+        assert main(["simulate", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 2
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((tmp_path / "out" / "metrics.json").read_text(),
+                             parse_constant=reject)
+        assert summary["stop_reason"] == "diverged"
+        assert summary["error_last30"] is None and summary["final_grad_norm"] is None
+
+    def test_write_json_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"value": math.nan})
 
 
 class TestParseDeltas:

@@ -71,6 +71,17 @@ class TestTimeModels:
         with pytest.raises(InvalidConfigError):
             StragglerTime(1.0, 2.0, 1.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantTime(math.nan),
+        lambda: ConstantTime(math.inf),
+        lambda: StragglerTime(math.nan, 2.0, 0.1),
+        lambda: StragglerTime(1.0, math.nan, 0.1),
+        lambda: StragglerTime(1.0, math.inf, 0.1),
+    ])
+    def test_non_finite_times_rejected(self, make):
+        with pytest.raises(InvalidConfigError):
+            make()
+
     def test_constant_fleet_assigns_sequential_ids(self):
         fleet = constant_fleet([1.0, 2.5, 4.0])
         assert [w.worker_id for w in fleet] == [0, 1, 2]
@@ -100,7 +111,7 @@ class TestHandSchedules:
         assert all(trace.delays[t] == 4 for t in slow_rows)
 
     def test_minibatch_of_two_delays_alternate_zero_one(self):
-        trace = simple_run(constant_fleet([1.0, 1.0]), MiniBatch(batch_size=2), 4)
+        trace = simple_run(constant_fleet([1.0, 1.0]), MiniBatch(), 4)
         assert list(trace.delays) == [0, 1, 0, 1]
         assert metrics.average_delay_exact(trace.ledger) == Fraction(2, 5)
         # both jobs of a batch are handed out together, after the batch is done
@@ -108,13 +119,9 @@ class TestHandSchedules:
 
     def test_minibatch_average_delay_approaches_half_batch(self):
         n = 4
-        trace = simple_run(constant_fleet([1.0] * n), MiniBatch(batch_size=n), 400)
+        trace = simple_run(constant_fleet([1.0] * n), MiniBatch(), 400)
         # per full batch the delays are 0, 1, ..., n-1
         assert float(np.mean(trace.delays)) == pytest.approx((n - 1) / 2, abs=1e-12)
-
-    def test_minibatch_size_must_match_fleet(self):
-        with pytest.raises(InvalidConfigError):
-            simple_run(constant_fleet([1.0, 1.0]), MiniBatch(batch_size=3), 4)
 
 
 class TestConservation:
@@ -122,7 +129,7 @@ class TestConservation:
         (constant_fleet([1.0]), MaxConcurrency(), 3),
         (constant_fleet([1.0, 1.0]), MaxConcurrency(), 7),
         (constant_fleet([1.0, 3.0, 5.5]), MaxConcurrency(), 23),
-        (constant_fleet([1.0, 1.0]), MiniBatch(batch_size=2), 4),
+        (constant_fleet([1.0, 1.0]), MiniBatch(), 4),
         (constant_fleet([2.0, 1.0, 1.0, 1.0]), SampledMiniBatch(batch_size=3), 31),
         (constant_fleet([1.0, 2.0, 3.0]), UniformClientSampling(concurrency=5), 40),
     ])
@@ -174,8 +181,8 @@ class TestCustomSelection:
     def test_callback_receives_state(self):
         seen = []
 
-        def select(step, state):
-            seen.append((step, state.in_flight_count))
+        def select(step, busy, rng):
+            seen.append((step, sum(busy)))
             return [step % 2]
 
         trace = simple_run(constant_fleet([1.0, 1.0]), CustomSelection(select=select), 4)
@@ -187,7 +194,7 @@ class TestCustomSelection:
             simple_run(constant_fleet([1.0]), CustomSelection(), 1)
         with pytest.raises(InvalidConfigError):
             simple_run(constant_fleet([1.0]),
-                       CustomSelection(table=((),), select=lambda s, st: []), 1)
+                       CustomSelection(table=((),), select=lambda s, busy, rng: []), 1)
 
 
 class TestClientSampling:

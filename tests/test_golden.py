@@ -10,11 +10,34 @@ every worker time model, noise on and off, the heterogeneous family and the
 logistic family appear at least once.
 """
 
+import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from asgdsim import (
+    ConstantStepsize,
+    ConstantTime,
+    CustomSelection,
+    DelayAdaptiveStepsize,
+    FaultInjection,
+    LogNormalTime,
+    MaxConcurrency,
+    MiniBatch,
+    NoiseModel,
+    SampledMiniBatch,
+    StopRule,
+    StragglerTime,
+    UniformClientSampling,
+    WorkerModel,
+    constant_fleet,
+    make_heterogeneous,
+    make_quadratic,
+    run_heterogeneous,
+    run_homogeneous,
+)
 from asgdsim.cli import main
 
 
@@ -149,3 +172,86 @@ def command_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_outputs_match_pinned_digests(name, tmp_path):
     assert command_digests(name, tmp_path) == GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# engine-level replay digests: every RunTrace array and the ledger, for each
+# policy, including the ones no CLI config can build
+
+
+def _pick_idle(step, busy, rng):
+    """Hand a random prefix of the idle workers a job; never starve the queue."""
+    idle = [w for w, jobs in enumerate(busy) if jobs == 0]
+    take = int(rng.integers(0, len(idle) + 1))
+    if take == 0 and sum(busy) == 0:
+        take = 1
+    return idle[:take]
+
+
+def _engine_cases():
+    mixed = [WorkerModel(0, LogNormalTime(0.0, 0.5)),
+             WorkerModel(1, StragglerTime(1.0, 10.0, 0.3)),
+             WorkerModel(2, LogNormalTime(0.2, 0.8)),
+             WorkerModel(3, ConstantTime(2.0))]
+    quad = make_quadratic(4, 1.0, 2.0, seed=7)
+    noisy = NoiseModel(0.2)
+    stop = StopRule(max_iterations=150)
+
+    def homogeneous(workers, policy, faults=None, stop=stop):
+        return lambda: run_homogeneous(
+            quad, noisy, workers, policy, DelayAdaptiveStepsize(0.3, 2.0, 2), np.ones(4), stop,
+            master_seed=11, faults=faults)
+
+    return {
+        "max_concurrency_noisy_straggler": homogeneous(mixed, MaxConcurrency()),
+        "minibatch": homogeneous(mixed, MiniBatch()),
+        "sampled_minibatch_above_fleet": homogeneous(mixed, SampledMiniBatch(batch_size=7)),
+        "uniform_sampling_homogeneous_queued": homogeneous(
+            constant_fleet([1.0, 2.5, 4.0]), UniformClientSampling(concurrency=6)),
+        "custom_table": homogeneous(constant_fleet([1.0, 2.0, 3.0]), CustomSelection(
+            table=((0,), (), (0, 1), (), (0, 2), (0,), (1,), (), (0, 1), (2,))),
+            stop=StopRule(max_iterations=12)),  # the table runs dry after step 9
+        "custom_callback_rng": homogeneous(mixed, CustomSelection(select=_pick_idle)),
+        "invert_ties": homogeneous(constant_fleet([1.0, 1.0, 2.0]), MaxConcurrency(),
+                                   FaultInjection(invert_ties=True)),
+        "heterogeneous": lambda: run_heterogeneous(
+            make_heterogeneous(quad, 4, 1.0, seed=3), noisy, mixed, 5,
+            ConstantStepsize(0.1), np.zeros(4), stop, master_seed=11),
+    }
+
+
+def trace_digest(trace):
+    """SHA-256 over every array, scalar and ledger field of a RunTrace."""
+    digest = hashlib.sha256()
+    for name in ("worker_ids", "client_ids", "delays", "stepsizes", "grad_norms",
+                 "objective_values", "sim_times", "n_assigned", "concurrency", "final_x"):
+        column = np.ascontiguousarray(getattr(trace, name))
+        digest.update(f"{name}:{column.dtype}:{column.shape}".encode())
+        digest.update(column.tobytes())
+    scalars = (trace.final_value, trace.final_grad_norm, trace.total_sim_time,
+               trace.stop_reason, trace.converged, trace.diverged)
+    digest.update(repr(scalars).encode())
+    ledger = dataclasses.asdict(trace.ledger)
+    ledger["samples_per_client"] = sorted(ledger["samples_per_client"].items())
+    digest.update(json.dumps(ledger, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+ENGINE_GOLDEN = {
+    "custom_callback_rng": "57b4afdc6eeca9f8ab8dc433e955f04b30ab09f657a00a316f3fbee869ae12a7",
+    "custom_table": "02ef4af01876c5f446719c3f4bdc58461f5fa0c0cfa9447e417c8cf74268e3a8",
+    "heterogeneous": "dccfac09d4cf4e8c93fecdd77a0801392862984e997c17addbad655321f2fd0a",
+    "invert_ties": "e14c0dc46dea50856bbbc005393f63911d0ae6588919783388982a190c949aaf",
+    "max_concurrency_noisy_straggler":
+        "436b5c883bd02aa6387f0af898f7567c44b4c2d3ad466bb65f1964b851f031f4",
+    "minibatch": "7fb1d4b82996a39d55ad6c752857642ebeee0dfb23156cac1a3c2248dae0c0a2",
+    "sampled_minibatch_above_fleet":
+        "51d077d27cab16662deb4c8e13dad2c77634af64e05283af3fb7f24edd87b71c",
+    "uniform_sampling_homogeneous_queued":
+        "dd086d9acbe46ac826c525ec639f1e1fb0bc60f9fcf8f2dec00ebf4c3276b96f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_engine_cases()))
+def test_engine_replay_matches_pinned_digest(name):
+    assert trace_digest(_engine_cases()[name]()) == ENGINE_GOLDEN[name]

@@ -223,7 +223,7 @@ class TestEngineLedgers:
     def test_minibatch_two_of_four_average(self):
         # batch size 2 for 4 iterations: delays 0,1,0,1 and one leftover
         # in-flight job at delay 0 after the exclusion, so 2/5
-        trace = run(constant_fleet([1.0, 1.0]), MiniBatch(2), 4)
+        trace = run(constant_fleet([1.0, 1.0]), MiniBatch(), 4)
         assert metrics.average_delay_exact(trace.ledger) == Fraction(2, 5)
 
     def test_two_equal_workers(self):

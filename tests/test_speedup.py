@@ -84,6 +84,11 @@ class TestValidation:
         with pytest.raises(InvalidSpecError):
             SpeedupInput((1.0, -2.0), concurrency=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_speed(self, bad):
+        with pytest.raises(InvalidSpecError):
+            SpeedupInput((1.0, bad), concurrency=1)
+
     def test_rejects_nonpositive_concurrency(self):
         with pytest.raises(InvalidSpecError):
             SpeedupInput((1.0,), concurrency=0)
