@@ -8,6 +8,7 @@ modes.  Outputs land in results/straggler_compare/.
 import json
 import sys
 import tempfile
+from pathlib import Path
 
 from asgdsim.cli import main as cli_main
 
@@ -32,8 +33,11 @@ OUT = "results/straggler_compare"
 def run():
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(CONFIG, fh)
-        path = fh.name
-    return cli_main(["compare", path, "--out", OUT])
+        path = Path(fh.name)
+    try:
+        return cli_main(["compare", str(path), "--out", OUT])
+    finally:
+        path.unlink()
 
 
 if __name__ == "__main__":

@@ -33,14 +33,21 @@ in-flight job count per worker and the "client-sampling" stream.
 * ``CustomSelection``        seed every worker; then a caller-provided table
                              or ``select(step, busy, rng)`` callback, which
                              may only pick idle workers.
+
+The whole run is one loop in ``_run``.  The fault hooks of
+``FaultInjection`` stay out of it: ``invert_ties`` fixes the sign of the
+heap's tie key before the first job, and ``delay_off_by_one`` adds one to
+the recorded delay column after the last event, so stepsizes still see
+the true delays.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -57,6 +64,7 @@ from .objectives import HeterogeneousFamily, NoiseModel
 from .rng import named_stream
 
 Array = np.ndarray
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +77,7 @@ class ConstantTime:
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
-            raise InvalidConfigError(f"compute time must be positive and finite, got {self.delta}")
+            raise InvalidConfigError(f"delta must be positive and finite, got {self.delta}")
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.delta
@@ -81,8 +89,15 @@ class LogNormalTime:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidConfigError(f"lognormal sigma must be non-negative, got {self.sigma}")
+        # exp(mu) must stay below the largest float, or every draw is inf
+        if not -math.inf < self.mu < _LOG_FLOAT_MAX:
+            raise InvalidConfigError(
+                f"lognormal mu must be finite and below {_LOG_FLOAT_MAX:.2f}, got {self.mu}"
+            )
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidConfigError(
+                f"lognormal sigma must be non-negative and finite, got {self.sigma}"
+            )
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.mu, self.sigma))
@@ -98,7 +113,7 @@ class StragglerTime:
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
-            raise InvalidConfigError(f"compute time must be positive and finite, got {self.delta}")
+            raise InvalidConfigError(f"delta must be positive and finite, got {self.delta}")
         if not 1 <= self.slow_factor < math.inf:
             raise InvalidConfigError(
                 f"slow_factor must be finite and at least 1, got {self.slow_factor}"
@@ -350,250 +365,19 @@ class RunTrace:
                                      *(col[rows].tolist() for col in columns)))
 
 
-@dataclass(frozen=True)
-class InFlightJob:
-    """Read-only view of one assigned-but-unapplied job."""
-
-    worker_id: int
-    start_iteration: int
-    finish_time: float
-
-
 # ---------------------------------------------------------------------------
-# simulation state
+# the event loop
 
 # heap entries: (finish_time, tie_key, seq, worker_id, start_iteration, grad)
 
 
-class SimState:
-    """Mutable state of one simulation; advanced one server iteration at a time."""
-
-    def __init__(
-        self,
-        objective,
-        noise: NoiseModel,
-        workers: Sequence[WorkerModel],
-        policy,
-        stepsize,
-        x0: Array,
-        master_seed: int = 0,
-        record_iterates: bool = False,
-        track_last_k: Optional[int] = None,
-        faults: Optional[FaultInjection] = None,
-    ):
-        if not workers:
-            raise InvalidConfigError("need at least one worker")
-        ids = [w.worker_id for w in workers]
-        if ids != list(range(len(workers))):
-            raise InvalidConfigError("worker ids must be 0..n-1 in order")
-        self.objective = objective
-        self.noise = noise
-        self.workers = list(workers)
-        self.policy = policy
-        self.stepsize = stepsize
-        self.faults = faults or FaultInjection()
-
-        self.x = np.array(x0, dtype=float)
-        if self.x.ndim != 1:
-            raise InvalidConfigError("x0 must be a 1-d vector")
-        if not np.all(np.isfinite(self.x)):
-            raise InvalidConfigError("x0 must be finite")
-        if self.x.shape[0] != objective.dim:
-            raise InvalidConfigError(
-                f"x0 has dimension {self.x.shape[0]} but the objective expects {objective.dim}"
-            )
-
-        self._shifts = objective.shifts if isinstance(objective, HeterogeneousFamily) else None
-        if self._shifts is not None and len(workers) != objective.n_clients:
-            raise InvalidConfigError(
-                f"{objective.n_clients} clients in the family but {len(workers)} workers"
-            )
-
-        self.t = 0
-        self.sim_time = 0.0
-        self.cur_value, self.cur_grad = objective.value_and_gradient(self.x)
-        self.cur_grad_norm = math.sqrt(float(self.cur_grad @ self.cur_grad))
-
-        self._heap: list = []
-        self._seq = 0
-        self._free_at = [0.0] * len(workers)
-        self._busy = [0] * len(workers)
-        self._delay_rng = named_stream(master_seed, "delay-model")
-        self._client_rng = named_stream(master_seed, "client-sampling")
-        self._noise_rngs = {
-            w.worker_id: named_stream(master_seed, f"noise-worker-{w.worker_id}")
-            for w in workers
-        }
-
-        # trace columns
-        self._col_worker: list[int] = []
-        self._col_delay: list[int] = []
-        self._col_eta: list[float] = []
-        self._col_grad_norm: list[float] = []
-        self._col_value: list[float] = []
-        self._col_sim_time: list[float] = []
-        self._col_assigned: list[int] = []
-        # the ledger shares _col_delay and _col_worker; concurrency_log[t] is
-        # |C_t|, the trace's concurrency column before event t
-        self._samples: dict[int, int] = {}
-        self.concurrency_log: list[int] = []
-
-        self.iterates: Optional[list[Array]] = [self.x] if record_iterates else None
-        self._last_k = deque(maxlen=track_last_k) if track_last_k else None
-        if self._last_k is not None:
-            self._last_k.append(self.cur_grad_norm)
-        self._stall_ref_mean: Optional[float] = None
-        self._stall_next_t = 0
-
-        for w in policy.start(len(self.workers), self._client_rng):
-            self._assign(w)
-        self.concurrency_log.append(len(self._heap))
-
-    # -- assignment ---------------------------------------------------------
-
-    def _tie_key(self, worker_id: int) -> int:
-        return -worker_id if self.faults.invert_ties else worker_id
-
-    def _assign(self, worker_id: int) -> None:
-        model = self.workers[worker_id]
-        duration = model.compute_time.sample(self._delay_rng)
-        begin = max(self.sim_time, self._free_at[worker_id])
-        finish = begin + duration
-        self._free_at[worker_id] = finish
-        grad = self.cur_grad if self._shifts is None else self.cur_grad + self._shifts[worker_id]
-        if self.noise.sigma > 0.0:
-            grad = grad + self.noise.sample(self.x.shape[0], self._noise_rngs[worker_id])
-        heappush(self._heap,
-                 (finish, self._tie_key(worker_id), self._seq, worker_id, self.t, grad))
-        self._seq += 1
-        self._busy[worker_id] += 1
-        self._samples[worker_id] = self._samples.get(worker_id, 0) + 1
-
-    # -- views ----------------------------------------------------------------
-
-    @property
-    def in_flight_count(self) -> int:
-        return len(self._heap)
-
-    def in_flight_jobs(self) -> list[InFlightJob]:
-        return [
-            InFlightJob(entry[3], entry[4], entry[0]) for entry in sorted(self._heap)
-        ]
-
-    # -- finalization -----------------------------------------------------------
-
-    def finalize(self, stop_reason: str, converged: bool) -> RunTrace:
-        remaining = sorted(self._heap)
-        active_starts = [entry[4] for entry in remaining]
-        active_clients = [entry[3] for entry in remaining]
-        excluded = 0 if remaining else None
-        ledger = DelayLedger(
-            total_iterations=self.t,
-            applied_delays=self._col_delay,
-            applied_clients=self._col_worker,
-            active_start_iterations=active_starts,
-            active_clients=active_clients,
-            concurrency_log=self.concurrency_log,
-            samples_per_client=dict(sorted(self._samples.items())),
-            excluded_active_index=excluded,
-        )
-        return RunTrace(
-            worker_ids=np.array(self._col_worker, dtype=int),
-            client_ids=np.array(self._col_worker, dtype=int),
-            delays=np.array(self._col_delay, dtype=int),
-            stepsizes=np.array(self._col_eta, dtype=float),
-            grad_norms=np.array(self._col_grad_norm, dtype=float),
-            objective_values=np.array(self._col_value, dtype=float),
-            sim_times=np.array(self._col_sim_time, dtype=float),
-            n_assigned=np.array(self._col_assigned, dtype=int),
-            concurrency=np.array(self.concurrency_log[:-1], dtype=int),
-            final_x=self.x,
-            final_value=self.cur_value,
-            final_grad_norm=self.cur_grad_norm,
-            total_sim_time=self.sim_time,
-            stop_reason=stop_reason,
-            converged=converged,
-            diverged=stop_reason == "diverged",
-            ledger=ledger,
-            iterates=self.iterates,
-        )
-
-
-def advance_event(state: SimState) -> SimState:
-    """Apply the next finished gradient and hand out new work (one iteration)."""
-    if not state._heap:
-        raise SimulationDeadlockError(
-            f"no jobs in flight at iteration {state.t}; the policy starved the queue"
-        )
-    finish, _, _, worker_id, start_iteration, grad = heappop(state._heap)
-    state._busy[worker_id] -= 1
-    t = state.t
-    delay = t - start_iteration
-    recorded_delay = delay + 1 if state.faults.delay_off_by_one else delay
-    eta = state.stepsize.at(t, delay)
-
-    state._col_worker.append(worker_id)
-    state._col_delay.append(recorded_delay)
-    state._col_eta.append(eta)
-    state._col_grad_norm.append(state.cur_grad_norm)
-    state._col_value.append(state.cur_value)
-    state._col_sim_time.append(finish)
-
-    state.sim_time = finish
-    state.x = state.x - eta * grad
-    state.t = t + 1
-    state.cur_value, state.cur_grad = state.objective.value_and_gradient(state.x)
-    state.cur_grad_norm = math.sqrt(float(state.cur_grad @ state.cur_grad))
-    if state.iterates is not None:
-        state.iterates.append(state.x)
-    if state._last_k is not None:
-        state._last_k.append(state.cur_grad_norm)
-
-    selection = state.policy.after(state.t, worker_id, state._busy, state._client_rng)
-    for w in selection:
-        state._assign(w)
-    state._col_assigned.append(len(selection))
-    state.concurrency_log.append(len(state._heap))
-    return state
-
-
-def _stop_verdict(state: SimState, stop: StopRule) -> Optional[str]:
-    if (
-        not math.isfinite(state.cur_value)
-        or state.cur_value > stop.diverge_above
-        or state.cur_grad_norm > stop.diverge_above
-    ):
-        return "diverged"
-    if stop.grad_tol is not None and state.cur_grad_norm <= stop.grad_tol:
-        if _quiescent(state, stop, stop.grad_tol):
-            return "target"
-    if stop.last_k_tol is not None:
-        window = state._last_k
-        # a mean over the last k iterates needs a full window of k entries
-        if window is not None and len(window) == window.maxlen and \
-                sum(window) / len(window) <= stop.last_k_tol:
-            if _quiescent(state, stop, stop.last_k_tol):
-                return "target"
-    if stop.stall_window is not None:
-        window = state._last_k
-        if window is not None and len(window) == window.maxlen \
-                and state.t >= state._stall_next_t:
-            current = sum(window) / len(window)
-            reference = state._stall_ref_mean
-            if reference is not None and math.isfinite(reference) \
-                    and current > reference * (1.0 - stop.stall_improvement):
-                return "stalled"
-            state._stall_ref_mean = current
-            state._stall_next_t = state.t + stop.stall_window
-    if state.t >= stop.max_iterations:
-        return "cap"
-    return None
-
-
-def _quiescent(state: SimState, stop: StopRule, tol: float) -> bool:
-    if not stop.require_quiescent:
-        return True
-    return all(float(np.linalg.norm(entry[-1])) <= tol for entry in state._heap)
+def _window_mean(window) -> float:
+    # summed left to right: the builtin float sum is compensated from Python
+    # 3.12 on, so a verdict near its tolerance would depend on the version
+    total = 0.0
+    for value in window:
+        total += value
+    return total / len(window)
 
 
 def _run(
@@ -608,25 +392,175 @@ def _run(
     record_iterates: bool,
     faults: Optional[FaultInjection],
 ) -> RunTrace:
-    state = SimState(
-        objective,
-        noise,
-        workers,
-        policy,
-        stepsize,
-        x0,
-        master_seed=master_seed,
-        record_iterates=record_iterates,
-        track_last_k=stop.last_k if stop.last_k_tol is not None else None,
-        faults=faults,
-    )
+    if not workers:
+        raise InvalidConfigError("need at least one worker")
+    if [w.worker_id for w in workers] != list(range(len(workers))):
+        raise InvalidConfigError("worker ids must be 0..n-1 in order")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 1:
+        raise InvalidConfigError("x0 must be a 1-d vector")
+    if not np.all(np.isfinite(x)):
+        raise InvalidConfigError("x0 must be finite")
+    dim = x.shape[0]
+    if dim != objective.dim:
+        raise InvalidConfigError(
+            f"x0 has dimension {dim} but the objective expects {objective.dim}"
+        )
+    shifts = objective.shifts if isinstance(objective, HeterogeneousFamily) else None
+    if shifts is not None and len(workers) != objective.n_clients:
+        raise InvalidConfigError(
+            f"{objective.n_clients} clients in the family but {len(workers)} workers"
+        )
+    faults = faults or FaultInjection()
+    tie_sign = -1 if faults.invert_ties else 1
+
+    n = len(workers)
+    t = 0
+    sim_time = 0.0
+    value, grad = objective.value_and_gradient(x)
+    grad_norm = math.sqrt(float(grad @ grad))
+
+    heap: list = []
+    seq = 0
+    free_at = [0.0] * n
+    busy = [0] * n
+    samples: dict[int, int] = {}
+    sample_time = [w.compute_time.sample for w in workers]
+    delay_rng = named_stream(master_seed, "delay-model")
+    client_rng = named_stream(master_seed, "client-sampling")
+    noise_rngs = [named_stream(master_seed, f"noise-worker-{i}") for i in range(n)]
+    noisy = noise.sigma > 0.0
+
+    col_worker: list[int] = []
+    col_delay: list[int] = []
+    col_eta: list[float] = []
+    col_grad_norm: list[float] = []
+    col_value: list[float] = []
+    col_sim_time: list[float] = []
+    col_assigned: list[int] = []
+    # concurrency_log[t] is |C_t|, the trace's concurrency column before event t
+    concurrency_log: list[int] = []
+    iterates: Optional[list[Array]] = [x] if record_iterates else None
+    window = deque([grad_norm], maxlen=stop.last_k) if stop.last_k_tol is not None else None
+    stall_ref_mean: Optional[float] = None
+    stall_next_t = 0
+
+    def assign(w: int) -> None:
+        """Hand worker ``w`` a job evaluated at the current iterate."""
+        nonlocal seq
+        finish = max(sim_time, free_at[w]) + sample_time[w](delay_rng)
+        if not math.isfinite(finish):
+            raise InvalidConfigError(
+                f"worker {w}: finish time of the job assigned at iteration {t} "
+                f"is {finish}; the compute time model overflows"
+            )
+        free_at[w] = finish
+        job = grad if shifts is None else grad + shifts[w]
+        if noisy:
+            job = job + noise.sample(dim, noise_rngs[w])
+        heappush(heap, (finish, tie_sign * w, seq, w, t, job))
+        seq += 1
+        busy[w] += 1
+        samples[w] = samples.get(w, 0) + 1
+
+    def quiescent(tol: float) -> bool:
+        return not stop.require_quiescent or all(
+            float(np.linalg.norm(entry[-1])) <= tol for entry in heap)
+
+    for w in policy.start(n, client_rng):
+        assign(w)
+    concurrency_log.append(len(heap))
+
     while True:
-        advance_event(state)
-        verdict = _stop_verdict(state, stop)
-        if verdict is not None:
+        if not heap:
+            raise SimulationDeadlockError(
+                f"no jobs in flight at iteration {t}; the policy starved the queue"
+            )
+        finish, _, _, worker, start, job = heappop(heap)
+        busy[worker] -= 1
+        delay = t - start
+        eta = stepsize.at(t, delay)
+        col_worker.append(worker)
+        col_delay.append(delay)
+        col_eta.append(eta)
+        col_grad_norm.append(grad_norm)
+        col_value.append(value)
+        col_sim_time.append(finish)
+
+        sim_time = finish
+        x = x - eta * job
+        t += 1
+        value, grad = objective.value_and_gradient(x)
+        grad_norm = math.sqrt(float(grad @ grad))
+        if iterates is not None:
+            iterates.append(x)
+
+        selection = policy.after(t, worker, busy, client_rng)
+        for w in selection:
+            assign(w)
+        col_assigned.append(len(selection))
+        concurrency_log.append(len(heap))
+
+        if not math.isfinite(value) or value > stop.diverge_above \
+                or grad_norm > stop.diverge_above:
+            verdict = "diverged"
             break
-    converged = verdict == "target" or (verdict == "cap" and not stop.has_target)
-    return state.finalize(verdict, converged)
+        if stop.grad_tol is not None and grad_norm <= stop.grad_tol \
+                and quiescent(stop.grad_tol):
+            verdict = "target"
+            break
+        if window is not None:
+            window.append(grad_norm)
+            # a mean over the last k iterates needs a full window of k entries
+            if len(window) == stop.last_k:
+                mean = _window_mean(window)
+                if mean <= stop.last_k_tol and quiescent(stop.last_k_tol):
+                    verdict = "target"
+                    break
+                if stop.stall_window is not None and t >= stall_next_t:
+                    if stall_ref_mean is not None and math.isfinite(stall_ref_mean) \
+                            and mean > stall_ref_mean * (1.0 - stop.stall_improvement):
+                        verdict = "stalled"
+                        break
+                    stall_ref_mean = mean
+                    stall_next_t = t + stop.stall_window
+        if t >= stop.max_iterations:
+            verdict = "cap"
+            break
+
+    if faults.delay_off_by_one:
+        col_delay = [d + 1 for d in col_delay]
+    remaining = sorted(heap)
+    ledger = DelayLedger(
+        total_iterations=t,
+        applied_delays=col_delay,
+        applied_clients=col_worker,
+        active_start_iterations=[entry[4] for entry in remaining],
+        active_clients=[entry[3] for entry in remaining],
+        concurrency_log=concurrency_log,
+        samples_per_client=dict(sorted(samples.items())),
+        excluded_active_index=0 if remaining else None,
+    )
+    return RunTrace(
+        worker_ids=np.array(col_worker, dtype=int),
+        client_ids=np.array(col_worker, dtype=int),
+        delays=np.array(col_delay, dtype=int),
+        stepsizes=np.array(col_eta, dtype=float),
+        grad_norms=np.array(col_grad_norm, dtype=float),
+        objective_values=np.array(col_value, dtype=float),
+        sim_times=np.array(col_sim_time, dtype=float),
+        n_assigned=np.array(col_assigned, dtype=int),
+        concurrency=np.array(concurrency_log[:-1], dtype=int),
+        final_x=x,
+        final_value=value,
+        final_grad_norm=grad_norm,
+        total_sim_time=sim_time,
+        stop_reason=verdict,
+        converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
+        diverged=verdict == "diverged",
+        ledger=ledger,
+        iterates=iterates,
+    )
 
 
 def run_homogeneous(

@@ -9,10 +9,6 @@ class InvalidSpecError(SimulatorError):
     """A generator or constructor was given parameters outside its domain."""
 
 
-class NumericDomainError(SimulatorError):
-    """An evaluation was attempted at a numerically invalid point."""
-
-
 class InvalidConfigError(SimulatorError):
     """A run configuration is inconsistent; the message carries the field path."""
 
@@ -23,16 +19,6 @@ class SimulationDeadlockError(SimulatorError):
 
 class InvalidSelectionError(SimulatorError):
     """A scheduling policy selected a worker that is not available."""
-
-
-class IdentityViolationError(SimulatorError):
-    """An exact bookkeeping identity failed; almost certainly a simulator bug."""
-
-    def __init__(self, lhs: int, rhs: int, message: str = ""):
-        self.lhs = lhs
-        self.rhs = rhs
-        detail = message or f"conservation identity violated: lhs={lhs} rhs={rhs}"
-        super().__init__(detail)
 
 
 class UndefinedStatisticError(SimulatorError):

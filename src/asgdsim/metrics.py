@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import IdentityViolationError, UndefinedStatisticError
+from .errors import UndefinedStatisticError
 
 
 @dataclass
@@ -129,26 +129,6 @@ def delay_conservation(ledger: DelayLedger) -> ConservationCheck:
     )
     rhs = sum(ledger.concurrency_log)
     return ConservationCheck(lhs, rhs, lhs == rhs)
-
-
-def assert_delay_conservation(ledger: DelayLedger) -> None:
-    check = delay_conservation(ledger)
-    if not check.passed:
-        raise IdentityViolationError(check.lhs, check.rhs)
-
-
-def conservation_average_delay(ledger: DelayLedger) -> Fraction:
-    """Average delay under the conservation bookkeeping (assignment step counted).
-
-    When the conservation identity holds this equals
-    (T + 1) / (T + |C_T| - 1) times the average concurrency, exactly.
-    """
-    t = ledger.total_iterations
-    denom = t + len(ledger.active_start_iterations) - 1
-    if denom < 1:
-        raise UndefinedStatisticError("not enough jobs for the conservation average")
-    check = delay_conservation(ledger)
-    return Fraction(check.lhs, denom)
 
 
 def _delay_totals_per_client(ledger: DelayLedger) -> dict[int, int]:

@@ -17,14 +17,12 @@ sigma^2 / dim).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpecError, NumericDomainError
+from .errors import InvalidSpecError
 from .rng import named_stream
 
 Array = np.ndarray
@@ -270,25 +268,6 @@ def make_heterogeneous(
     return HeterogeneousFamily(base, centred * (zeta / rms))
 
 
-def stochastic_gradient(objective, client: int, x: Array, noise: NoiseModel, rng) -> Array:
-    """One stochastic gradient of client ``client`` at ``x``.
-
-    For plain (homogeneous) objectives the client index is ignored.  With
-    sigma = 0 the return value is exactly the client gradient and the stream
-    is not consumed.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NumericDomainError("cannot evaluate a gradient at a non-finite point")
-    if isinstance(objective, HeterogeneousFamily):
-        g = objective.client_gradient(client, x)
-    else:
-        g = objective.gradient(x)
-    if noise.sigma == 0.0:
-        return g
-    return g + noise.sample(x.shape[0], rng)
-
-
 def finite_difference_gradient(fn, x: Array, step: float = 1e-5) -> Array:
     """Central-difference gradient of a scalar function, one coordinate at a time."""
     x = np.asarray(x, dtype=float)
@@ -298,47 +277,3 @@ def finite_difference_gradient(fn, x: Array, step: float = 1e-5) -> Array:
         e[i] = step
         out[i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
     return out
-
-
-def objective_to_dict(objective) -> dict:
-    """Plain-data form of an objective, suitable for JSON round-trips."""
-    if isinstance(objective, QuadraticObjective):
-        return {
-            "family": "quadratic",
-            "matrix_a": objective.matrix_a.tolist(),
-            "vector_b": objective.vector_b.tolist(),
-        }
-    if isinstance(objective, LogisticObjective):
-        return {
-            "family": "logistic",
-            "features": objective.features.tolist(),
-            "labels": objective.labels.tolist(),
-        }
-    if isinstance(objective, HeterogeneousFamily):
-        return {
-            "family": "heterogeneous",
-            "base": objective_to_dict(objective.base),
-            "shifts": objective.shifts.tolist(),
-        }
-    raise InvalidSpecError(f"cannot serialize objective of type {type(objective).__name__}")
-
-
-def objective_from_dict(data: dict):
-    family = data.get("family")
-    if family == "quadratic":
-        return QuadraticObjective(np.array(data["matrix_a"]), np.array(data["vector_b"]))
-    if family == "logistic":
-        return LogisticObjective(np.array(data["features"]), np.array(data["labels"]))
-    if family == "heterogeneous":
-        return HeterogeneousFamily(objective_from_dict(data["base"]), np.array(data["shifts"]))
-    raise InvalidSpecError(f"unknown objective family {family!r}")
-
-
-def save_objective(objective, path) -> None:
-    """Write an objective to a JSON document that reloads to identical arrays."""
-    text = json.dumps(objective_to_dict(objective), sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
-
-
-def load_objective(path):
-    return objective_from_dict(json.loads(Path(path).read_text()))

@@ -34,7 +34,6 @@ from .engine import (
 )
 from .metrics import delay_conservation
 from .objectives import (
-    HeterogeneousFamily,
     NoiseModel,
     finite_difference_gradient,
     make_heterogeneous,

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from asgdsim import InvalidConfigError, cli
-from asgdsim.cli import ExperimentConfig, load_config, main, parse_deltas, run_config
+from asgdsim.cli import ExperimentConfig, main, parse_deltas, run_config
 from asgdsim.objectives import make_quadratic
 from asgdsim.report import write_json
 
@@ -111,7 +111,12 @@ BAD_EXAMPLES = {
     "string_require_quiescent": (lambda d: d["stop"].update(require_quiescent="false"),
                                  "config.stop.require_quiescent"),
     "negative_delta": (lambda d: d["workers"][0].update(delta=-1.0),
-                       "config.workers[0]: compute time"),
+                       "config.workers[0]: delta must be positive"),
+    # rng.lognormal overflows to inf above mu = log(float max), about 709.78
+    "overflowing_lognormal_mu": (
+        lambda d: d.update(workers=[{"time": "lognormal", "mu": 710, "sigma": 0.1,
+                                     "count": 2}]),
+        "config.workers[0]: lognormal mu"),
     "minibatch_smaller_than_fleet": (
         lambda d: d.update(policy={"kind": "minibatch", "batch_size": 3}),
         "config.policy.batch_size"),
@@ -146,6 +151,62 @@ class TestConfigBoundary:
         cfg = ExperimentConfig.from_dict(
             tiny_config(stop={"max_iterations": 60, "require_quiescent": flag}))
         assert cfg.built.stop.require_quiescent is flag
+
+
+def _leaves(node, where=()):
+    """Key paths of every scalar in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, where + (key,))
+        else:
+            yield where + (key,), value
+
+
+def _mutations(value):
+    """Values that no field of the example config accepts in place of ``value``."""
+    yield "nan", math.nan
+    yield "inf", math.inf
+    yield "-inf", -math.inf
+    if isinstance(value, (int, float)) and value != 0:  # -0.0 is still zero
+        yield "negated", -value
+    yield "string", "1"
+    yield "list", [value]
+    yield "true", True
+
+
+def _label(where):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in where)
+
+
+MUTATIONS = [
+    pytest.param(where, bad, id=f"{_label(where)[1:]}={name}")
+    for where, value in _leaves(json.loads(EXAMPLE.read_text()))
+    for name, bad in _mutations(value)
+] + [
+    pytest.param(("stop", "require_quiescent"), bad, id=f"stop.require_quiescent={bad!r}")
+    for bad in ("false", 1)
+]
+
+
+class TestConfigMutations:
+    """Every leaf of configs/example.json, set to one bad value at a time."""
+
+    @pytest.mark.parametrize("where,bad", MUTATIONS)
+    def test_mutated_example_exits_1_naming_the_field(self, where, bad, tmp_path, capsys):
+        data = json.loads(EXAMPLE.read_text())
+        *parents, key = where
+        block = data
+        for step in parents:
+            block = block[step]
+        block[key] = bad
+        assert main(["simulate", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        block_path = "config" + _label(parents)
+        assert "invalid configuration" in err and "Traceback" not in err
+        assert block_path in err and key in err.split(block_path, 1)[1], err
+        assert not (tmp_path / "out").exists()
 
 
 # command lines whose number list is bad in one way; the error must name the flag

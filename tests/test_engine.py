@@ -13,27 +13,24 @@ from asgdsim import (
     FaultInjection,
     InvalidConfigError,
     InvalidSelectionError,
-    InvalidSpecError,
     LogNormalTime,
     MaxConcurrency,
     MiniBatch,
     NoiseModel,
     RunTrace,
     SampledMiniBatch,
-    SimState,
     SimulationDeadlockError,
     StopRule,
     StragglerTime,
     UniformClientSampling,
     WorkerModel,
-    advance_event,
     constant_fleet,
     make_heterogeneous,
     make_quadratic,
     run_heterogeneous,
     run_homogeneous,
 )
-from asgdsim import metrics
+from asgdsim import engine, metrics
 
 
 QUAD = make_quadratic(4, 1.0, 2.0, seed=7)
@@ -77,10 +74,21 @@ class TestTimeModels:
         lambda: StragglerTime(math.nan, 2.0, 0.1),
         lambda: StragglerTime(1.0, math.nan, 0.1),
         lambda: StragglerTime(1.0, math.inf, 0.1),
+        lambda: LogNormalTime(0.0, math.nan),
+        lambda: LogNormalTime(math.nan, 0.1),
+        lambda: LogNormalTime(0.0, math.inf),
+        lambda: LogNormalTime(-math.inf, 0.1),
+        # exp(710) exceeds the largest float, so every draw would be inf
+        lambda: LogNormalTime(710.0, 0.1),
     ])
     def test_non_finite_times_rejected(self, make):
         with pytest.raises(InvalidConfigError):
             make()
+
+    @pytest.mark.parametrize("model", [LogNormalTime(709.0, 5.0), ConstantTime(1e308)])
+    def test_overflowing_finish_time_names_the_worker(self, model):
+        with pytest.raises(InvalidConfigError, match="worker 0"):
+            simple_run([WorkerModel(0, model)], MaxConcurrency(), 50)
 
     def test_constant_fleet_assigns_sequential_ids(self):
         fleet = constant_fleet([1.0, 2.5, 4.0])
@@ -299,6 +307,49 @@ class TestStopRules:
             StopRule(max_iterations=10, stall_window=5)
 
 
+def sequential_mean(window):
+    total = 0.0
+    for value in window:
+        total += value
+    return total / len(window)
+
+
+class TestStopVerdictSummation:
+    def test_window_mean_does_not_follow_the_builtin_sum(self, monkeypatch):
+        """Python 3.12 made float ``sum`` compensated; the verdict must not move with it.
+
+        ``last_k_tol`` is set to the smaller of the sequential and the
+        correctly rounded window mean at a step where they differ, and below
+        every earlier mean, so exactly one of the two sums stops there.
+        """
+        k = 30
+
+        def run(**tolerance):
+            return run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0, 1.7, 2.9]),
+                                   MaxConcurrency(), ConstantStepsize(0.05), X0,
+                                   StopRule(max_iterations=600, last_k=k, **tolerance))
+
+        ref = run()
+        norms = list(ref.grad_norms) + [ref.final_grad_norm]
+        lowest = math.inf
+        for t in range(k - 1, len(norms)):
+            window = norms[t - k + 1:t + 1]
+            means = (sequential_mean(window), math.fsum(window) / k)
+            if means[0] != means[1] and min(means) < lowest:
+                tol = min(means)
+                break
+            lowest = min(lowest, *means)
+        else:
+            pytest.fail("no step where the two window means differ")
+
+        plain = run(last_k_tol=tol)
+        assert plain.stop_reason == "target"
+        monkeypatch.setattr(engine, "sum", math.fsum, raising=False)
+        shadowed = run(last_k_tol=tol)
+        assert len(shadowed) == len(plain)
+        np.testing.assert_array_equal(shadowed.grad_norms, plain.grad_norms)
+
+
 class TestDeterminism:
     def test_same_seed_same_trace(self):
         fleet = [WorkerModel(0, LogNormalTime(0.0, 0.5)),
@@ -411,37 +462,20 @@ class TestTraceAndState:
         assert trace.grad_norms[0] == pytest.approx(
             float(np.linalg.norm(QUAD.gradient(X0))), rel=1e-15)
 
-    def test_manual_stepping_matches_run(self):
-        state = SimState(QUAD, NO_NOISE, constant_fleet([1.0, 2.0]), MaxConcurrency(),
-                         ConstantStepsize(0.1), X0, master_seed=3)
-        for _ in range(8):
-            advance_event(state)
-        trace = state.finalize("cap", True)
-        full = simple_run(constant_fleet([1.0, 2.0]), MaxConcurrency(), 8, seed=3)
-        np.testing.assert_array_equal(trace.grad_norms, full.grad_norms)
-        np.testing.assert_array_equal(trace.delays, full.delays)
-
-    def test_in_flight_view_is_sorted_and_consistent(self):
-        state = SimState(QUAD, NO_NOISE, constant_fleet([1.0, 5.0]), MaxConcurrency(),
-                         ConstantStepsize(0.1), X0)
-        advance_event(state)
-        jobs = state.in_flight_jobs()
-        assert len(jobs) == state.in_flight_count == 2
-        assert jobs[0].finish_time <= jobs[1].finish_time
-        assert {j.worker_id for j in jobs} == {0, 1}
-
     def test_bad_x0_rejected(self):
         with pytest.raises(InvalidConfigError):
-            SimState(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
-                     ConstantStepsize(0.1), np.zeros(3))
+            run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
+                            ConstantStepsize(0.1), np.zeros(3), StopRule(max_iterations=5))
         with pytest.raises(InvalidConfigError):
-            SimState(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
-                     ConstantStepsize(0.1), np.array([1.0, np.inf, 0.0, 0.0]))
+            run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
+                            ConstantStepsize(0.1), np.array([1.0, np.inf, 0.0, 0.0]),
+                            StopRule(max_iterations=5))
 
     def test_worker_ids_must_be_dense(self):
         bad = [WorkerModel(0, ConstantTime(1.0)), WorkerModel(2, ConstantTime(1.0))]
         with pytest.raises(InvalidConfigError):
-            SimState(QUAD, NO_NOISE, bad, MaxConcurrency(), ConstantStepsize(0.1), X0)
+            run_homogeneous(QUAD, NO_NOISE, bad, MaxConcurrency(), ConstantStepsize(0.1), X0,
+                            StopRule(max_iterations=5))
 
 
 class TestHeterogeneousRuns:

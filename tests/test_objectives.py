@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,19 +6,12 @@ from hypothesis import strategies as st
 from asgdsim import (
     HeterogeneousFamily,
     InvalidSpecError,
-    LogisticObjective,
     NoiseModel,
-    NumericDomainError,
-    QuadraticObjective,
     finite_difference_gradient,
-    load_objective,
     make_heterogeneous,
     make_logistic,
     make_quadratic,
-    save_objective,
-    stochastic_gradient,
 )
-from asgdsim.objectives import objective_from_dict, objective_to_dict
 from asgdsim.rng import named_stream
 
 
@@ -139,21 +130,6 @@ class TestNoise:
             NoiseModel(-0.1)
 
 
-class TestStochasticGradient:
-    def test_noiseless_equals_deterministic(self):
-        obj = make_quadratic(5, 1.0, 2.0, seed=1)
-        x = np.ones(5)
-        g = stochastic_gradient(obj, None, x, NoiseModel(0.0), named_stream(0, "n"))
-        np.testing.assert_array_equal(g, obj.gradient(x))
-
-    def test_nonfinite_point_rejected(self):
-        obj = make_quadratic(5, 1.0, 2.0, seed=1)
-        x = np.ones(5)
-        x[2] = np.nan
-        with pytest.raises(NumericDomainError):
-            stochastic_gradient(obj, None, x, NoiseModel(0.0), named_stream(0, "n"))
-
-
 class TestFiniteDifferences:
     @pytest.mark.parametrize("maker,dim", [
         (lambda: make_quadratic(6, 1.0, 2.0, seed=10), 6),
@@ -168,34 +144,6 @@ class TestFiniteDifferences:
             ana = obj.gradient(x)
             denom = max(1.0, np.linalg.norm(ana))
             assert np.linalg.norm(num - ana) / denom < 1e-6
-
-
-class TestSerialization:
-    def test_quadratic_round_trip(self, tmp_path):
-        obj = make_quadratic(5, 1.0, 2.0, seed=13)
-        path = tmp_path / "quad.json"
-        save_objective(obj, path)
-        back = load_objective(path)
-        assert isinstance(back, QuadraticObjective)
-        np.testing.assert_array_equal(back.matrix_a, obj.matrix_a)
-        np.testing.assert_array_equal(back.vector_b, obj.vector_b)
-
-    def test_logistic_round_trip(self):
-        obj = make_logistic(15, 4, seed=14)
-        back = objective_from_dict(objective_to_dict(obj))
-        assert isinstance(back, LogisticObjective)
-        np.testing.assert_array_equal(back.features, obj.features)
-        np.testing.assert_array_equal(back.labels, obj.labels)
-
-    def test_heterogeneous_round_trip(self, tmp_path):
-        fam = make_heterogeneous(make_quadratic(3, 1.0, 2.0, seed=15), 4, 0.5, seed=16)
-        path = tmp_path / "fam.json"
-        save_objective(fam, path)
-        back = load_objective(path)
-        assert isinstance(back, HeterogeneousFamily)
-        np.testing.assert_array_equal(back.shifts, fam.shifts)
-        # the payload is plain JSON
-        assert isinstance(json.loads(path.read_text()), dict)
 
 
 @settings(max_examples=40, deadline=None)
