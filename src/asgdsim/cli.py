@@ -19,7 +19,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -38,6 +39,7 @@ from .engine import (
     UniformClientSampling,
     WorkerModel,
     constant_fleet,
+    run_grid,
     run_heterogeneous,
     run_homogeneous,
 )
@@ -68,7 +70,6 @@ from .stepsize import (
     default_log_grid,
     grid_tune,
 )
-from .verify import run_all as run_all_checks
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +376,37 @@ def run_config(cfg: ExperimentConfig, master_seed: int, stepsize=None,
 # tuning
 
 
-def make_tuning_runner(simulate, stop: StopRule):
-    """The ``run(eta, budget)`` of ``grid_tune``: ``simulate(eta, capped_stop)``,
-    where ``capped_stop`` is ``stop`` with its iteration cap lowered to the budget."""
+def make_tuning_runner(objective, noise, workers, policy, make_stepsize, x0,
+                       stop: StopRule, seed: int, grid, criterion: str):
+    """The ``run(eta, budget)`` of ``grid_tune``, answered from one lockstep run.
+
+    The first call runs every stepsize of ``grid`` (``make_stepsize(eta)``)
+    at once with ``run_grid``, largest first and, under ``min_T_to_eps``,
+    with grid_tune's dominance budgets.  Each call then returns its point's
+    outcome, after checking that it asks for the next point and for the
+    iteration cap that the lockstep run applied to it.
+    """
+    dominance = criterion == "min_T_to_eps"
+    pending: Optional[deque] = None
+    best = math.inf  # fewest iterations to the target so far, as grid_tune keeps it
 
     def run(eta: float, budget: Optional[int]) -> TuneOutcome:
-        capped = stop
-        if budget is not None and budget < stop.max_iterations:
-            capped = replace(stop, max_iterations=budget)
-        trace = simulate(eta, capped)
-        return TuneOutcome(
-            iterations_to_target=len(trace) if trace.converged and stop.has_target else None,
-            final_error=metrics_mod.last_k_error(trace, warn_short=False),
-            diverged=trace.diverged,
-        )
+        nonlocal pending, best
+        if pending is None:
+            etas = sorted((float(g) for g in grid), reverse=True)
+            outcomes = run_grid(objective, noise, workers, policy,
+                                [make_stepsize(e) for e in etas], x0, stop,
+                                master_seed=seed, dominance=dominance)
+            pending = deque((e, o) for e, o in zip(etas, outcomes) if o is not None)
+        point, outcome = pending.popleft()
+        applied = min(stop.max_iterations, best - 1)
+        if point != eta or applied != (stop.max_iterations if budget is None
+                                       else min(budget, stop.max_iterations)):
+            raise RuntimeError(f"grid_tune asked for eta {eta} with budget {budget}; the "
+                               f"lockstep run gave eta {point} a cap of {applied}")
+        if dominance and outcome.iterations_to_target is not None and not outcome.diverged:
+            best = min(best, outcome.iterations_to_target)
+        return outcome
 
     return run
 
@@ -431,8 +449,9 @@ def cmd_tune(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    runner = make_tuning_runner(
-        lambda eta, stop: run_config(cfg, seed, cfg.build_stepsize(eta), stop), built.stop)
+    runner = make_tuning_runner(built.objective, built.noise, built.workers, built.policy,
+                                cfg.build_stepsize, built.x0, built.stop, seed,
+                                built.grid, built.criterion)
     try:
         result = grid_tune(runner, built.grid, criterion=built.criterion,
                            max_iterations=built.stop.max_iterations)
@@ -466,13 +485,11 @@ def _scaling_point(objective, slow_factor: float, epsilon: float, grid: list[flo
                     stall_window=max(2000, 4 * int(slow_factor)))
     x0 = np.zeros(objective.dim)
     noise = NoiseModel(0.0)
-
-    def simulate(eta: float, stop: StopRule):
-        return run_homogeneous(objective, noise, workers, MaxConcurrency(),
-                               ConstantStepsize(eta), x0, stop, master_seed=seed)
-
-    result = grid_tune(make_tuning_runner(simulate, stop), grid, criterion="min_T_to_eps")
-    best = simulate(result.best_eta, stop)
+    runner = make_tuning_runner(objective, noise, workers, MaxConcurrency(), ConstantStepsize,
+                                x0, stop, seed, grid, "min_T_to_eps")
+    result = grid_tune(runner, grid, criterion="min_T_to_eps")
+    best = run_homogeneous(objective, noise, workers, MaxConcurrency(),
+                           ConstantStepsize(result.best_eta), x0, stop, master_seed=seed)
     observed = metrics_mod.max_delay(best.ledger)
     return ScalingPoint(
         slow_factor=float(slow_factor),
@@ -570,11 +587,9 @@ def cmd_compare(args) -> int:
     grid = built.grid if cfg.tuning else default_log_grid(points_per_decade=2)
 
     def tune_policy(policy):
-        def simulate(eta: float, stop: StopRule):
-            return run_homogeneous(objective, noise, workers, policy, ConstantStepsize(eta),
-                                   x0, stop, master_seed=seed)
-
-        return grid_tune(make_tuning_runner(simulate, stop), grid, criterion="min_T_to_eps")
+        runner = make_tuning_runner(objective, noise, workers, policy, ConstantStepsize,
+                                    x0, stop, seed, grid, "min_T_to_eps")
+        return grid_tune(runner, grid, criterion="min_T_to_eps")
 
     async_tuned = tune_policy(MaxConcurrency())
     minibatch_tuned = tune_policy(MiniBatch())
@@ -676,6 +691,8 @@ def cmd_speedup(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all as run_all_checks
+
     results = run_all_checks(fuzz_configs=args.fuzz_configs, seed=args.seed or 20260816)
     failed = [r for r in results if not r.passed]
     for result in results:

@@ -38,12 +38,15 @@ The whole run is one loop in ``_run``.  The fault hooks of
 ``FaultInjection`` stay out of it: ``invert_ties`` fixes the sign of the
 heap's tie key before the first job, and ``delay_off_by_one`` adds one to
 the recorded delay column after the last event, so stepsizes still see
-the true delays.
+the true delays.  ``run_grid`` is the same loop over a block of iterates,
+one row per stepsize, for grid tuning; both loops hand out jobs through
+``_job_queue``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from collections import deque
@@ -59,11 +62,13 @@ from .errors import (
     InvalidSelectionError,
     SimulationDeadlockError,
 )
-from .metrics import DelayLedger
-from .objectives import HeterogeneousFamily, NoiseModel
+from .metrics import ERROR_WINDOW, DelayLedger
+from .objectives import HeterogeneousFamily, NoiseModel, _row_dots
 from .rng import named_stream
+from .stepsize import TuneOutcome
 
 Array = np.ndarray
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -89,10 +94,12 @@ class LogNormalTime:
     sigma: float
 
     def __post_init__(self):
-        # exp(mu) must stay below the largest float, or every draw is inf
-        if not -math.inf < self.mu < _LOG_FLOAT_MAX:
+        # exp(mu) must lie between the smallest normal and the largest float,
+        # or every draw is 0 (jobs take no time) or inf
+        if not _LOG_FLOAT_MIN <= self.mu < _LOG_FLOAT_MAX:
             raise InvalidConfigError(
-                f"lognormal mu must be finite and below {_LOG_FLOAT_MAX:.2f}, got {self.mu}"
+                f"lognormal mu must lie in [{_LOG_FLOAT_MIN:.2f}, {_LOG_FLOAT_MAX:.2f}), "
+                f"got {self.mu}"
             )
         if not 0 <= self.sigma < math.inf:
             raise InvalidConfigError(
@@ -380,6 +387,68 @@ def _window_mean(window) -> float:
     return total / len(window)
 
 
+def _start_point(objective, workers: Sequence[WorkerModel], x0: Array):
+    """The checked start point of a run and the family's client shifts (or None)."""
+    if not workers:
+        raise InvalidConfigError("need at least one worker")
+    if [w.worker_id for w in workers] != list(range(len(workers))):
+        raise InvalidConfigError("worker ids must be 0..n-1 in order")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 1:
+        raise InvalidConfigError("x0 must be a 1-d vector")
+    if not np.all(np.isfinite(x)):
+        raise InvalidConfigError("x0 must be finite")
+    if x.shape[0] != objective.dim:
+        raise InvalidConfigError(
+            f"x0 has dimension {x.shape[0]} but the objective expects {objective.dim}"
+        )
+    shifts = objective.shifts if isinstance(objective, HeterogeneousFamily) else None
+    if shifts is not None and len(workers) != objective.n_clients:
+        raise InvalidConfigError(
+            f"{objective.n_clients} clients in the family but {len(workers)} workers"
+        )
+    return x, shifts
+
+
+def _job_queue(workers: Sequence[WorkerModel], noise: NoiseModel, dim: int, shifts,
+               master_seed: int, tie_sign: int):
+    """The in-flight heap of a run and ``assign(w, t, now, grad)``, which hands
+    worker ``w`` a job at iteration ``t`` and clock ``now``.
+
+    ``grad`` is the gradient at the current iterate: one vector, or one row
+    per column of a lockstep run.  Client ``w``'s shift and one noise draw
+    are added to every row.  Returns ``(heap, busy, samples, assign)``.
+    """
+    n = len(workers)
+    heap: list = []
+    free_at = [0.0] * n
+    busy = [0] * n
+    samples: dict[int, int] = {}
+    seq = itertools.count()
+    sample_time = [w.compute_time.sample for w in workers]
+    delay_rng = named_stream(master_seed, "delay-model")
+    noise_rngs = [named_stream(master_seed, f"noise-worker-{i}") for i in range(n)]
+    noisy = noise.sigma > 0.0
+
+    def assign(w: int, t: int, now: float, grad: Array) -> None:
+        start = max(now, free_at[w])
+        finish = start + sample_time[w](delay_rng)
+        if not start < finish < math.inf:
+            raise InvalidConfigError(
+                f"worker {w}: the job assigned at iteration {t} starts at {start!r} and "
+                f"finishes at {finish!r}; a finish time must be finite and after its start"
+            )
+        free_at[w] = finish
+        job = grad if shifts is None else grad + shifts[w]
+        if noisy:
+            job = job + noise.sample(dim, noise_rngs[w])
+        heappush(heap, (finish, tie_sign * w, next(seq), w, t, job))
+        busy[w] += 1
+        samples[w] = samples.get(w, 0) + 1
+
+    return heap, busy, samples, assign
+
+
 def _run(
     objective,
     noise: NoiseModel,
@@ -392,44 +461,16 @@ def _run(
     record_iterates: bool,
     faults: Optional[FaultInjection],
 ) -> RunTrace:
-    if not workers:
-        raise InvalidConfigError("need at least one worker")
-    if [w.worker_id for w in workers] != list(range(len(workers))):
-        raise InvalidConfigError("worker ids must be 0..n-1 in order")
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1:
-        raise InvalidConfigError("x0 must be a 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise InvalidConfigError("x0 must be finite")
-    dim = x.shape[0]
-    if dim != objective.dim:
-        raise InvalidConfigError(
-            f"x0 has dimension {dim} but the objective expects {objective.dim}"
-        )
-    shifts = objective.shifts if isinstance(objective, HeterogeneousFamily) else None
-    if shifts is not None and len(workers) != objective.n_clients:
-        raise InvalidConfigError(
-            f"{objective.n_clients} clients in the family but {len(workers)} workers"
-        )
+    x, shifts = _start_point(objective, workers, x0)
     faults = faults or FaultInjection()
-    tie_sign = -1 if faults.invert_ties else 1
+    heap, busy, samples, assign = _job_queue(
+        workers, noise, x.shape[0], shifts, master_seed, -1 if faults.invert_ties else 1)
+    client_rng = named_stream(master_seed, "client-sampling")
 
-    n = len(workers)
     t = 0
     sim_time = 0.0
     value, grad = objective.value_and_gradient(x)
-    grad_norm = math.sqrt(float(grad @ grad))
-
-    heap: list = []
-    seq = 0
-    free_at = [0.0] * n
-    busy = [0] * n
-    samples: dict[int, int] = {}
-    sample_time = [w.compute_time.sample for w in workers]
-    delay_rng = named_stream(master_seed, "delay-model")
-    client_rng = named_stream(master_seed, "client-sampling")
-    noise_rngs = [named_stream(master_seed, f"noise-worker-{i}") for i in range(n)]
-    noisy = noise.sigma > 0.0
+    grad_norm = math.sqrt(float(np.dot(grad, grad)))
 
     col_worker: list[int] = []
     col_delay: list[int] = []
@@ -445,30 +486,12 @@ def _run(
     stall_ref_mean: Optional[float] = None
     stall_next_t = 0
 
-    def assign(w: int) -> None:
-        """Hand worker ``w`` a job evaluated at the current iterate."""
-        nonlocal seq
-        finish = max(sim_time, free_at[w]) + sample_time[w](delay_rng)
-        if not math.isfinite(finish):
-            raise InvalidConfigError(
-                f"worker {w}: finish time of the job assigned at iteration {t} "
-                f"is {finish}; the compute time model overflows"
-            )
-        free_at[w] = finish
-        job = grad if shifts is None else grad + shifts[w]
-        if noisy:
-            job = job + noise.sample(dim, noise_rngs[w])
-        heappush(heap, (finish, tie_sign * w, seq, w, t, job))
-        seq += 1
-        busy[w] += 1
-        samples[w] = samples.get(w, 0) + 1
-
     def quiescent(tol: float) -> bool:
         return not stop.require_quiescent or all(
-            float(np.linalg.norm(entry[-1])) <= tol for entry in heap)
+            math.sqrt(float(np.dot(entry[-1], entry[-1]))) <= tol for entry in heap)
 
-    for w in policy.start(n, client_rng):
-        assign(w)
+    for w in policy.start(len(workers), client_rng):
+        assign(w, t, sim_time, grad)
     concurrency_log.append(len(heap))
 
     while True:
@@ -491,13 +514,13 @@ def _run(
         x = x - eta * job
         t += 1
         value, grad = objective.value_and_gradient(x)
-        grad_norm = math.sqrt(float(grad @ grad))
+        grad_norm = math.sqrt(float(np.dot(grad, grad)))
         if iterates is not None:
             iterates.append(x)
 
         selection = policy.after(t, worker, busy, client_rng)
         for w in selection:
-            assign(w)
+            assign(w, t, sim_time, grad)
         col_assigned.append(len(selection))
         concurrency_log.append(len(heap))
 
@@ -561,6 +584,173 @@ def _run(
         ledger=ledger,
         iterates=iterates,
     )
+
+
+def _row_norms(rows: Array) -> Array:
+    # the bits of math.sqrt(np.dot(g, g)) in _run, row by row
+    return np.sqrt(_row_dots(rows))
+
+
+def run_grid(
+    objective,
+    noise: NoiseModel,
+    workers: Sequence[WorkerModel],
+    policy,
+    stepsizes: Sequence,
+    x0: Array,
+    stop: StopRule,
+    master_seed: int = 0,
+    dominance: bool = False,
+) -> list[Optional[TuneOutcome]]:
+    """Run one stepsize rule per column in lockstep, over one shared schedule.
+
+    The schedule (heap, policy, delay, client and noise draws) does not
+    depend on the iterate, so it is drawn once; the iterate is a
+    (columns, dim) block and every in-flight job carries one gradient row
+    per running column.  Column k ends exactly as ``_run`` under
+    ``stepsizes[k]`` ends, bit for bit.  A column that stops leaves the
+    block and every in-flight job.
+
+    ``dominance`` applies ``grid_tune``'s ``min_T_to_eps`` budgets, with the
+    columns in grid_tune's order (largest stepsize first): once column j
+    reaches the target at step T, every later column still running is
+    stopped by a cap at T - 1, or skipped when T - 1 < 1.
+
+    ``objective`` evaluates the block through ``values_and_gradients``.
+    Returns one ``TuneOutcome`` per column (``final_error`` as
+    ``metrics.last_k_error``), or None for a skipped column.
+    """
+    x, shifts = _start_point(objective, workers, x0)
+    outcomes: list[Optional[TuneOutcome]] = [None] * len(stepsizes)
+    if not stepsizes:
+        return outcomes
+    heap, busy, _, assign = _job_queue(workers, noise, x.shape[0], shifts, master_seed, 1)
+    client_rng = named_stream(master_seed, "client-sampling")
+
+    cols = list(range(len(stepsizes)))  # the column of each row of xs
+    rules = list(stepsizes)
+    xs = np.tile(x, (len(cols), 1))
+    t = 0
+    sim_time = 0.0
+    values, grads = objective.values_and_gradients(xs)
+    norms = _row_norms(grads)
+    # norms[s % depth] of every step s still needed by a window or a final error
+    depth = max(stop.last_k, ERROR_WINDOW + 1)
+    history = np.empty((depth, len(cols)))
+    history[0] = norms
+    windowed = stop.last_k_tol is not None
+    stall_ref = [None] * len(cols)
+    stall_next_t = 0
+
+    def last_norms(row: int, end: int, k: int) -> Array:
+        """The norms of ``row`` at steps end-k+1 .. end (from step 0 if fewer)."""
+        return history[np.arange(max(0, end - k + 1), end + 1) % depth, row]
+
+    def outcome(row: int, end: int, verdict: str) -> TuneOutcome:
+        return TuneOutcome(end if verdict == "target" else None,
+                           float(last_norms(row, end, ERROR_WINDOW).mean()),
+                           verdict == "diverged")
+
+    inflight_norms: dict[int, Array] = {}  # row norms of in-flight jobs, by heap seq
+
+    def quiescent(row: int, tol: float) -> bool:
+        if not stop.require_quiescent:
+            return True
+        for entry in heap:
+            job_norms = inflight_norms.get(entry[2])
+            if job_norms is None:
+                # a job handed out at this step without shift or noise is grads itself
+                job_norms = norms if entry[-1] is grads else _row_norms(entry[-1])
+                inflight_norms[entry[2]] = job_norms
+            if not job_norms[row] <= tol:
+                return False
+        return True
+
+    for w in policy.start(len(workers), client_rng):
+        assign(w, t, sim_time, grads)
+
+    while True:
+        if not heap:
+            raise SimulationDeadlockError(
+                f"no jobs in flight at iteration {t}; the policy starved the queue"
+            )
+        finish, _, seq, worker, start, job = heappop(heap)
+        inflight_norms.pop(seq, None)
+        busy[worker] -= 1
+        delay = t - start
+        etas = np.array([rule.at(t, delay) for rule in rules])
+
+        sim_time = finish
+        xs = xs - etas[:, None] * job
+        t += 1
+        values, grads = objective.values_and_gradients(xs)
+        norms = _row_norms(grads)
+        history[t % depth] = norms
+
+        for w in policy.after(t, worker, busy, client_rng):
+            assign(w, t, sim_time, grads)
+
+        # vectorised screens; a flagged row gets _run's verdicts in _run's order
+        flagged = ~np.isfinite(values) | (values > stop.diverge_above) \
+            | (norms > stop.diverge_above)
+        if stop.grad_tol is not None:
+            flagged |= norms <= stop.grad_tol
+        full = windowed and t + 1 >= stop.last_k
+        if full:
+            # the window sums non-negative norms, so its mean is at least
+            # newest / k: a row above the tolerance there cannot stop on it
+            flagged |= norms / stop.last_k <= stop.last_k_tol
+        stall_due = full and stop.stall_window is not None and t >= stall_next_t
+        every_row = stall_due or t >= stop.max_iterations
+        if not (every_row or flagged.any()):
+            continue
+
+        stopped: set[int] = set()
+        for row in range(len(cols)) if every_row else flagged.nonzero()[0].tolist():
+            verdict = None
+            if not math.isfinite(values[row]) or values[row] > stop.diverge_above \
+                    or norms[row] > stop.diverge_above:
+                verdict = "diverged"
+            elif stop.grad_tol is not None and norms[row] <= stop.grad_tol \
+                    and quiescent(row, stop.grad_tol):
+                verdict = "target"
+            elif full and (stall_due or quiescent(row, stop.last_k_tol)):
+                # a row still waiting for quiescence needs its mean only for a stall check
+                mean = _window_mean(last_norms(row, t, stop.last_k).tolist())
+                if mean <= stop.last_k_tol and quiescent(row, stop.last_k_tol):
+                    verdict = "target"
+                elif stall_due:
+                    ref = stall_ref[cols[row]]
+                    if ref is not None and math.isfinite(ref) \
+                            and mean > ref * (1.0 - stop.stall_improvement):
+                        verdict = "stalled"
+                    stall_ref[cols[row]] = mean
+            if verdict is None and t >= stop.max_iterations:
+                verdict = "cap"
+            if verdict is None:
+                continue
+            outcomes[cols[row]] = outcome(row, t, verdict)
+            stopped.add(row)
+            if dominance and verdict == "target":
+                # grid_tune would have capped every later column at t - 1
+                for later in range(row + 1, len(cols)):
+                    outcomes[cols[later]] = outcome(later, t - 1, "cap") if t > 1 else None
+                    stopped.add(later)
+                break
+        if stall_due:
+            stall_next_t = t + stop.stall_window
+        if stopped:
+            keep = [row for row in range(len(cols)) if row not in stopped]
+            if not keep:
+                return outcomes
+            rows = np.array(keep)
+            cols = [cols[row] for row in keep]
+            rules = [rules[row] for row in keep]
+            xs = xs[rows]
+            history = history[:, rows]
+            heap[:] = [entry[:-1] + (entry[-1][rows],) for entry in heap]
+            for seq in inflight_norms:
+                inflight_norms[seq] = inflight_norms[seq][rows]
 
 
 def run_homogeneous(

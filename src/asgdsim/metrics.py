@@ -167,7 +167,10 @@ def grad_norm_sequence(trace) -> np.ndarray:
     return np.append(np.asarray(trace.grad_norms, dtype=float), trace.final_grad_norm)
 
 
-def last_k_error(trace, k: int = 30, warn_short: bool = True) -> float:
+ERROR_WINDOW = 30  # last_k_error's default k: the final error that tuning compares
+
+
+def last_k_error(trace, k: int = ERROR_WINDOW, warn_short: bool = True) -> float:
     """Mean of the last ``k`` gradient norms along the iterate sequence.
 
     Falls back to the whole sequence when fewer than ``k`` iterates exist,

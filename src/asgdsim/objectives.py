@@ -13,6 +13,11 @@ Three families are provided:
 Gradient noise is modelled separately by ``NoiseModel`` (isotropic Gaussian
 with E||noise||^2 equal to sigma^2 exactly, i.e. per-coordinate variance
 sigma^2 / dim).
+
+Each family also evaluates a block of iterates at once
+(``values_and_gradients``, for lockstep grid tuning).  A broadcast
+``np.matmul`` makes one gemv or ddot per row, so every row gets the bits of
+``value_and_gradient``; a gemm over the block would not.
 """
 
 from __future__ import annotations
@@ -65,8 +70,15 @@ class QuadraticObjective:
         return self.matrix_a.T @ (self.matrix_a @ x - self.vector_b)
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
-        r = self.matrix_a @ x - self.vector_b
-        return 0.5 * float(r @ r), self.matrix_a.T @ r
+        r = np.dot(self.matrix_a, x)
+        r -= self.vector_b
+        return 0.5 * float(np.dot(r, r)), np.dot(r, self.matrix_a)
+
+    def values_and_gradients(self, xs: Array) -> tuple[Array, Array]:
+        """``value_and_gradient`` of every row of ``xs``, bit for bit (one gemv per row)."""
+        r = np.matmul(self.matrix_a, xs[:, :, None])[:, :, 0]
+        r -= self.vector_b
+        return 0.5 * _row_dots(r), np.matmul(self.matrix_a.T, r[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -117,10 +129,18 @@ class LogisticObjective:
         return -(self.features.T @ (self.labels * s)) / self.n_samples
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
-        margins = self.labels * (self.features @ x)
+        margins = self.labels * np.dot(self.features, x)
         value = float(np.logaddexp(0.0, -margins).mean())
         s = 0.5 * (1.0 - np.tanh(0.5 * margins))
-        return value, -(self.features.T @ (self.labels * s)) / self.n_samples
+        return value, -np.dot(self.labels * s, self.features) / self.n_samples
+
+    def values_and_gradients(self, xs: Array) -> tuple[Array, Array]:
+        """``value_and_gradient`` of every row of ``xs``, bit for bit (one gemv per row)."""
+        margins = self.labels * np.matmul(self.features, xs[:, :, None])[:, :, 0]
+        values = np.logaddexp(0.0, -margins).mean(axis=1)
+        s = 0.5 * (1.0 - np.tanh(0.5 * margins))
+        weighted = (self.labels * s)[:, None, :]
+        return values, -np.matmul(weighted, self.features)[:, 0, :] / self.n_samples
 
 
 @dataclass
@@ -177,11 +197,19 @@ class HeterogeneousFamily:
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         return self.base.value_and_gradient(x)
 
+    def values_and_gradients(self, xs: Array) -> tuple[Array, Array]:
+        return self.base.values_and_gradients(xs)
+
     def client_value(self, client: int, x: Array) -> float:
         return self.base.value(x) + float(self.shifts[client] @ x)
 
     def client_gradient(self, client: int, x: Array) -> Array:
         return self.base.gradient(x) + self.shifts[client]
+
+
+def _row_dots(rows: Array) -> Array:
+    # one ddot per row, the bits of np.dot(r, r) on each row alone
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

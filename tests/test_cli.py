@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +97,7 @@ class TestConfigParsing:
 
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding asgdsim
 
 
 # each entry edits configs/example.json into one bad input and names the
@@ -116,6 +120,11 @@ BAD_EXAMPLES = {
     "overflowing_lognormal_mu": (
         lambda d: d.update(workers=[{"time": "lognormal", "mu": 710, "sigma": 0.1,
                                      "count": 2}]),
+        "config.workers[0]: lognormal mu"),
+    # rng.lognormal returns exactly 0.0 far below mu = log(smallest normal), about -708.40
+    "underflowing_lognormal_mu": (
+        lambda d: d.update(workers=[{"time": "lognormal", "mu": -800, "sigma": 0.1,
+                                     "count": 3}]),
         "config.workers[0]: lognormal mu"),
     "minibatch_smaller_than_fleet": (
         lambda d: d.update(policy={"kind": "minibatch", "batch_size": 3}),
@@ -426,6 +435,13 @@ class TestSubcommands:
         assert payload["fit"] is not None
         assert (out / "scaling.csv").exists()
         assert (out / "scaling.svg").read_text().startswith("<svg")
+
+    def test_importing_the_cli_leaves_verify_unloaded(self):
+        # verify is imported inside cmd_verify, so no other command pays for it
+        code = "import sys, asgdsim.cli; print('asgdsim.verify' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=os.environ | {"PYTHONPATH": SRC})
+        assert done.stdout.strip() == "False"
 
     def test_verify_smoke(self, tmp_path, capsys):
         out = tmp_path / "v"

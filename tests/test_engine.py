@@ -38,6 +38,16 @@ NO_NOISE = NoiseModel(0.0)
 X0 = np.zeros(4)
 
 
+class ScriptedTime:
+    """A compute-time model that returns the given durations in turn."""
+
+    def __init__(self, *durations):
+        self.durations = iter(durations)
+
+    def sample(self, rng):
+        return next(self.durations)
+
+
 def simple_run(workers, policy, max_iterations, stepsize=None, seed=0, **kwargs):
     return run_homogeneous(
         QUAD, NO_NOISE, workers, policy, stepsize or ConstantStepsize(0.1),
@@ -80,6 +90,8 @@ class TestTimeModels:
         lambda: LogNormalTime(-math.inf, 0.1),
         # exp(710) exceeds the largest float, so every draw would be inf
         lambda: LogNormalTime(710.0, 0.1),
+        # exp(-800) is below the smallest normal float; draws are 0.0 at sigma 0.1
+        lambda: LogNormalTime(-800.0, 0.1),
     ])
     def test_non_finite_times_rejected(self, make):
         with pytest.raises(InvalidConfigError):
@@ -89,6 +101,19 @@ class TestTimeModels:
     def test_overflowing_finish_time_names_the_worker(self, model):
         with pytest.raises(InvalidConfigError, match="worker 0"):
             simple_run([WorkerModel(0, model)], MaxConcurrency(), 50)
+
+    @pytest.mark.parametrize("durations", [(0.0,), (1e17, 1.0)])
+    @pytest.mark.parametrize("loop", ["single", "lockstep"])
+    def test_finish_time_must_follow_its_start(self, durations, loop):
+        """A zero duration, or one that the clock absorbs (1e17 + 1 == 1e17), is refused."""
+        workers = [WorkerModel(0, ScriptedTime(*durations))]
+        with pytest.raises(InvalidConfigError, match="worker 0"):
+            if loop == "single":
+                simple_run(workers, MaxConcurrency(), 50)
+            else:
+                engine.run_grid(QUAD, NO_NOISE, workers, MaxConcurrency(),
+                                [ConstantStepsize(0.1), ConstantStepsize(0.2)], X0,
+                                StopRule(max_iterations=50))
 
     def test_constant_fleet_assigns_sequential_ids(self):
         fleet = constant_fleet([1.0, 2.5, 4.0])

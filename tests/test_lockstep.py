@@ -1,0 +1,247 @@
+"""Lockstep grid tuning against the sequential oracle.
+
+``sequential_runner`` is the per-point tuning runner that ``tune``,
+``compare`` and ``scaling`` used before the grid ran in lockstep: one full
+``run_homogeneous``/``run_heterogeneous`` per grid point, capped at the
+budget ``grid_tune`` hands it.  ``cli.make_tuning_runner`` answers the same
+calls from one ``engine.run_grid``; every ``TuningResult`` and every
+``TuningFailedError`` point list must be equal.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from asgdsim import (
+    ConstantStepsize,
+    ConstantTime,
+    DelayAdaptiveStepsize,
+    LogNormalTime,
+    MaxConcurrency,
+    MiniBatch,
+    NoiseModel,
+    SampledMiniBatch,
+    SimulatorError,
+    StopRule,
+    StragglerTime,
+    TuneOutcome,
+    TuningFailedError,
+    UniformClientSampling,
+    WorkerModel,
+    constant_fleet,
+    default_log_grid,
+    grid_tune,
+    last_k_error,
+    make_heterogeneous,
+    make_logistic,
+    make_quadratic,
+    run_heterogeneous,
+    run_homogeneous,
+)
+from asgdsim.cli import make_tuning_runner
+from asgdsim.engine import _window_mean, run_grid
+from asgdsim.objectives import HeterogeneousFamily
+
+
+@dataclasses.dataclass
+class Case:
+    objective: object
+    noise: NoiseModel
+    workers: list
+    policy: object
+    make_stepsize: object
+    x0: np.ndarray
+    stop: StopRule
+    seed: int
+    grid: list
+    criterion: str = "min_T_to_eps"
+
+    def simulate(self, eta, stop):
+        stepsize = self.make_stepsize(eta)
+        if isinstance(self.objective, HeterogeneousFamily):
+            return run_heterogeneous(self.objective, self.noise, self.workers,
+                                     self.policy.concurrency, stepsize, self.x0, stop,
+                                     master_seed=self.seed)
+        return run_homogeneous(self.objective, self.noise, self.workers, self.policy,
+                               stepsize, self.x0, stop, master_seed=self.seed)
+
+    def lockstep_runner(self):
+        return make_tuning_runner(self.objective, self.noise, self.workers, self.policy,
+                                  self.make_stepsize, self.x0, self.stop, self.seed,
+                                  self.grid, self.criterion)
+
+
+def sequential_runner(simulate, stop: StopRule):
+    """One capped run per grid point: ``simulate(eta, capped_stop)``."""
+
+    def run(eta, budget):
+        capped = stop
+        if budget is not None and budget < stop.max_iterations:
+            capped = dataclasses.replace(stop, max_iterations=budget)
+        trace = simulate(eta, capped)
+        return TuneOutcome(
+            iterations_to_target=len(trace) if trace.converged and stop.has_target else None,
+            final_error=last_k_error(trace, warn_short=False),
+            diverged=trace.diverged,
+        )
+
+    return run
+
+
+def tune(case: Case, runner):
+    """``grid_tune``'s result as text (repr keeps NaN apart from inf), or its error."""
+    try:
+        return repr(grid_tune(runner, case.grid, case.criterion, case.stop.max_iterations))
+    except TuningFailedError as exc:
+        return ("failed", repr(exc.points))
+    except SimulatorError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_lockstep_matches_sequential(case: Case):
+    expected = tune(case, sequential_runner(case.simulate, case.stop))
+    assert tune(case, case.lockstep_runner()) == expected
+    return expected
+
+
+def random_case(seed: int) -> Case:
+    """A small tuning problem drawn over every family, policy, time model and stop rule."""
+    rng = np.random.default_rng(seed)
+    family = ["quadratic", "logistic", "heterogeneous"][seed % 3]
+    dim = int(rng.choice([2, 3, 10]))
+    n = int(rng.integers(1, 5))
+    if family == "logistic":
+        objective = make_logistic(int(rng.integers(5, 40)), dim, seed)
+    else:
+        objective = make_quadratic(dim, 1.0, float(rng.uniform(1.5, 4.0)), seed)
+    if family == "heterogeneous":
+        objective = make_heterogeneous(objective, n, float(rng.uniform(0.0, 1.0)), seed + 1)
+        policy = UniformClientSampling(int(rng.integers(1, 5)))
+    else:
+        policy = [MaxConcurrency(), MiniBatch(), SampledMiniBatch(int(rng.integers(1, 5))),
+                  UniformClientSampling(int(rng.integers(1, 5)))][int(rng.integers(4))]
+    times = [ConstantTime(float(rng.uniform(0.5, 3.0))),
+             LogNormalTime(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 1.0))),
+             StragglerTime(1.0, float(rng.uniform(2.0, 20.0)), 0.2)]
+    workers = [WorkerModel(i, times[int(rng.integers(3))]) for i in range(n)]
+    noise = NoiseModel(float(rng.choice([0.0, 0.0, 0.01, 0.1])))
+
+    target = int(rng.integers(4))  # none, grad_tol, last_k_tol, both
+    grad_tol = float(10.0 ** rng.uniform(-4, -1)) if target in (1, 3) else None
+    last_k_tol = float(10.0 ** rng.uniform(-4, -1)) if target >= 2 else None
+    stall = last_k_tol is not None and rng.random() < 0.5
+    stop = StopRule(
+        max_iterations=int(rng.integers(20, 300)), grad_tol=grad_tol, last_k_tol=last_k_tol,
+        last_k=int(rng.integers(1, 40)), diverge_above=float(rng.choice([1e100, 1e3])),
+        require_quiescent=bool(rng.random() < 0.3),
+        stall_window=int(rng.integers(5, 60)) if stall else None,
+        stall_improvement=float(rng.choice([1e-3, 0.1])),
+    )
+    criterion = "min_final_error" if target == 0 or rng.random() < 0.3 else "min_T_to_eps"
+
+    if rng.random() < 0.5:
+        make_stepsize = ConstantStepsize
+    else:
+        lipschitz = objective.smoothness
+        concurrency = int(rng.integers(1, 4))
+        mode = ["scale", "drop"][int(rng.integers(2))]
+
+        def make_stepsize(eta):
+            return DelayAdaptiveStepsize(eta, lipschitz, concurrency, mode)
+    if rng.random() < 0.7:
+        grid = default_log_grid(int(rng.integers(1, 3)), 1e-3, float(rng.choice([1.0, 100.0])))
+    else:  # an explicit list, duplicates allowed
+        grid = [float(v) for v in rng.choice([0.01, 0.05, 0.1, 0.3, 1.0], size=4)]
+    return Case(objective, noise, workers, policy, make_stepsize,
+                rng.standard_normal(dim), stop, int(rng.integers(0, 1000)), grid, criterion)
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_lockstep_tuning_matches_sequential_oracle(seed):
+    assert_lockstep_matches_sequential(random_case(seed))
+
+
+QUAD = make_quadratic(4, 1.0, 2.0, seed=7)
+
+
+def straggler_case(**stop_fields) -> Case:
+    stop = StopRule(**({"max_iterations": 400, "grad_tol": 1e-6} | stop_fields))
+    return Case(QUAD, NoiseModel(0.0), constant_fleet([1.0, 3.0]), MaxConcurrency(),
+                ConstantStepsize, np.ones(4), stop, 0, default_log_grid(2, 1e-2, 1.0))
+
+
+class TestEdgeCases:
+    def test_equal_columns_leave_the_win_to_the_first(self):
+        """Two columns reaching the target at the same step: the later one is capped at T - 1."""
+        case = straggler_case()
+        first, second = run_grid(case.objective, case.noise, case.workers, case.policy,
+                                 [ConstantStepsize(0.1), ConstantStepsize(0.1)], case.x0,
+                                 case.stop, dominance=True)
+        capped = case.simulate(0.1, dataclasses.replace(
+            case.stop, max_iterations=first.iterations_to_target - 1))
+        assert first.iterations_to_target is not None
+        assert second == TuneOutcome(None, last_k_error(capped, warn_short=False), False)
+        assert capped.stop_reason == "cap"
+
+        case.grid = [0.03, 0.1, 0.1, 1.0]
+        assert_lockstep_matches_sequential(case)
+
+    def test_target_at_step_one_skips_every_later_point(self):
+        case = straggler_case(grad_tol=1e9)
+        outcomes = run_grid(case.objective, case.noise, case.workers, case.policy,
+                            [ConstantStepsize(e) for e in sorted(case.grid, reverse=True)],
+                            case.x0, case.stop, dominance=True)
+        assert outcomes[0].iterations_to_target == 1
+        assert outcomes[1:] == [None] * (len(case.grid) - 1)
+        result = grid_tune(case.lockstep_runner(), case.grid)
+        assert [p.iterations_to_target for p in result.points] == \
+            [None] * (len(case.grid) - 1) + [1]
+        assert all(math.isnan(p.final_error) for p in result.points[:-1])
+        assert_lockstep_matches_sequential(case)
+
+    def test_min_final_error_runs_every_point_to_its_end(self):
+        case = straggler_case(grad_tol=None, last_k_tol=1e-3, last_k=10)
+        case.criterion = "min_final_error"
+        outcomes = run_grid(case.objective, case.noise, case.workers, case.policy,
+                            [ConstantStepsize(e) for e in case.grid], case.x0, case.stop)
+        for eta, outcome in zip(case.grid, outcomes):
+            trace = case.simulate(eta, case.stop)
+            assert outcome.final_error == last_k_error(trace, warn_short=False)
+            assert outcome.diverged == trace.diverged
+        assert_lockstep_matches_sequential(case)
+
+    def test_noisy_heterogeneous_client_sampling(self):
+        family = make_heterogeneous(make_quadratic(6, 1.0, 2.0, seed=2), 5, 0.5, seed=3)
+        case = Case(family, NoiseModel(0.05), constant_fleet([1.0, 1.0, 2.0, 3.0, 8.0]),
+                    UniformClientSampling(3), ConstantStepsize, np.zeros(6),
+                    StopRule(max_iterations=300, last_k_tol=0.05, last_k=20), 4,
+                    default_log_grid(4, 1e-3, 1.0))
+        result = assert_lockstep_matches_sequential(case)
+        assert "best_eta" in result
+
+    def test_window_target_with_the_newest_norm_above_the_tolerance(self):
+        """The lockstep screen skips a window only when its newest norm / k is above the
+        tolerance; here the window mean reaches the tolerance while the newest norm is above it."""
+        k = 5
+        case = Case(QUAD, NoiseModel(0.3), constant_fleet([1.0, 1.3]), MaxConcurrency(),
+                    ConstantStepsize, np.ones(4), StopRule(max_iterations=300), 1,
+                    [0.02, 0.05, 0.1])
+        ref = case.simulate(0.1, case.stop)
+        norms = list(ref.grad_norms) + [ref.final_grad_norm]
+        means = [_window_mean(norms[t - k + 1:t + 1]) for t in range(k - 1, len(norms))]
+        step = next(t for t, mean in enumerate(means, start=k - 1)
+                    if mean < min(means[:t - k + 1], default=math.inf) and norms[t] > mean)
+        case.stop = StopRule(max_iterations=300, last_k=k, last_k_tol=means[step - k + 1])
+        assert case.simulate(0.1, case.stop).stop_reason == "target"
+        outcomes = run_grid(case.objective, case.noise, case.workers, case.policy,
+                            [ConstantStepsize(0.1)], case.x0, case.stop, master_seed=1)
+        assert outcomes[0].iterations_to_target == step
+        assert_lockstep_matches_sequential(case)
+
+    def test_runner_refuses_a_budget_it_did_not_apply(self):
+        case = straggler_case()
+        run = case.lockstep_runner()
+        with pytest.raises(RuntimeError, match="budget"):
+            run(max(case.grid), 5)

@@ -160,3 +160,59 @@ def test_logistic_gradient_bound_property(seed, scale):
     obj = make_logistic(25, 6, seed=seed)
     x = scale * named_stream(seed, "probe").standard_normal(6)
     assert np.linalg.norm(obj.gradient(x)) <= obj.grad_bound * (1 + 1e-12)
+
+
+def _batches(dim, rng):
+    """Iterate blocks of K in {1, 2, 29} rows, whole and after rows were dropped."""
+    for k in (1, 2, 29):
+        # rows spread over many magnitudes, as a grid of stepsizes leaves them
+        xs = rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-8, 3, size=(k, 1))
+        yield xs
+        if k > 1:
+            yield xs[np.sort(rng.permutation(k)[: k // 2 + 1])]
+
+
+class TestBatchedKernels:
+    """``values_and_gradients`` must give every row the bits of ``value_and_gradient``."""
+
+    def assert_rowwise_equal(self, obj, xs):
+        values, grads = obj.values_and_gradients(xs)
+        assert values.shape == (xs.shape[0],) and grads.shape == xs.shape
+        for x, value, grad in zip(xs, values, grads):
+            v, g = obj.value_and_gradient(x)
+            assert value == v
+            np.testing.assert_array_equal(grad, g)
+
+    @pytest.mark.parametrize("dim", [2, 10, 100, 1000])
+    def test_quadratic(self, dim):
+        obj = make_quadratic(dim, 1.0, 2.0, seed=dim)
+        rng = named_stream(dim, "batch-probe")
+        for xs in _batches(dim, rng):
+            self.assert_rowwise_equal(obj, xs)
+            # the np.dot kernel keeps the bits of the @ form
+            r = obj.matrix_a @ xs[0] - obj.vector_b
+            v, g = obj.value_and_gradient(xs[0])
+            assert v == 0.5 * float(r @ r)
+            np.testing.assert_array_equal(g, obj.matrix_a.T @ r)
+
+    @pytest.mark.parametrize("m,dim", [(7, 1), (7, 3), (50, 10), (100, 20), (1000, 50)])
+    def test_logistic(self, m, dim):
+        obj = make_logistic(m, dim, seed=m + dim)
+        rng = named_stream(m, "batch-probe")
+        for xs in _batches(dim, rng):
+            self.assert_rowwise_equal(obj, xs)
+            margins = obj.labels * (obj.features @ xs[0])
+            s = 0.5 * (1.0 - np.tanh(0.5 * margins))
+            np.testing.assert_array_equal(
+                obj.value_and_gradient(xs[0])[1],
+                -(obj.features.T @ (obj.labels * s)) / obj.n_samples)
+
+    def test_heterogeneous_delegates_to_its_base(self):
+        family = make_heterogeneous(make_quadratic(10, 1.0, 2.0, seed=3), 4, 0.5, seed=4)
+        rng = named_stream(3, "batch-probe")
+        for xs in _batches(10, rng):
+            values, grads = family.values_and_gradients(xs)
+            base_values, base_grads = family.base.values_and_gradients(xs)
+            np.testing.assert_array_equal(values, base_values)
+            np.testing.assert_array_equal(grads, base_grads)
+            self.assert_rowwise_equal(family.base, xs)
