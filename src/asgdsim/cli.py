@@ -311,18 +311,23 @@ def _build_stop(spec: dict) -> StopRule:
                   for key in ("grad_tol", "last_k_tol")}
     for key, tol in tolerances.items():
         _expect(tol is None or tol >= 0, f"{path}.{key}", f"must be non-negative, got {tol}")
+    diverge_above = _field(spec, "diverge_above", path, float, required=False, default=1e100)
+    _expect(diverge_above > 0, f"{path}.diverge_above",
+            f"must be positive, got {diverge_above}")
+    improvement = _field(spec, "stall_improvement", path, float, required=False, default=1e-3)
+    # a relative drop of 1 or more would call every run stalled
+    _expect(0 <= improvement < 1, f"{path}.stall_improvement",
+            f"must lie in [0, 1), got {improvement}")
     return _at(
         path, StopRule,
         max_iterations=_field(spec, "max_iterations", path, int),
         **tolerances,
         last_k=_field(spec, "last_k", path, int, required=False, default=30),
-        diverge_above=_field(spec, "diverge_above", path, float,
-                             required=False, default=1e100),
+        diverge_above=diverge_above,
         require_quiescent=_field(spec, "require_quiescent", path, bool,
                                  required=False, default=False),
         stall_window=_field(spec, "stall_window", path, int, required=False),
-        stall_improvement=_field(spec, "stall_improvement", path, float,
-                                 required=False, default=1e-3),
+        stall_improvement=improvement,
     )
 
 
@@ -713,6 +718,24 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
+# numeric flags with a bounded domain, checked before any command runs:
+# destination -> (flag, test, what the test asks)
+FLAG_BOUNDS = {
+    "seed": ("--seed", lambda v: v >= 0, "must be non-negative"),
+    "epsilon": ("--epsilon", lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
+    "max_iterations": ("--max-iterations", lambda v: v >= 1, "must be at least 1"),
+    "points_per_decade": ("--points-per-decade", lambda v: v >= 1, "must be at least 1"),
+    "mc_samples": ("--mc-samples", lambda v: v >= 2, "must be at least 2"),
+    "fuzz_configs": ("--fuzz-configs", lambda v: v >= 1, "must be at least 1"),
+}
+
+
+def _check_flags(args) -> None:
+    for dest, (flag, ok, rule) in FLAG_BOUNDS.items():
+        value = getattr(args, dest, None)
+        _expect(value is None or ok(value), flag, f"{rule}, got {value}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
@@ -776,6 +799,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (InvalidConfigError, InvalidSpecError) as exc:
         print(f"asgdsim: invalid configuration: {exc}", file=sys.stderr)

@@ -39,8 +39,9 @@ The whole run is one loop in ``_run``.  The fault hooks of
 heap's tie key before the first job, and ``delay_off_by_one`` adds one to
 the recorded delay column after the last event, so stepsizes still see
 the true delays.  ``run_grid`` is the same loop over a block of iterates,
-one row per stepsize, for grid tuning; both loops hand out jobs through
-``_job_queue``.
+one row per stepsize, for grid tuning.  Both loops hand out jobs through
+``_job_queue`` and take their stop verdicts from one ``StopTracker`` per
+run or column, which ``StopRule.tracker`` builds.
 """
 
 from __future__ import annotations
@@ -305,6 +306,66 @@ class StopRule:
     def has_target(self) -> bool:
         return self.grad_tol is not None or self.last_k_tol is not None
 
+    def tracker(self, grad_norm: float) -> "StopTracker":
+        """The verdict state of one run that starts at gradient norm ``grad_norm``."""
+        return StopTracker(self, grad_norm)
+
+
+class StopTracker:
+    """The stop verdict of one run, or of one column of a lockstep run.
+
+    It holds the trailing window of gradient norms (the norm at x^0
+    included), the stall reference mean and the next stall checkpoint.
+    """
+
+    __slots__ = ("stop", "window", "stall_ref", "stall_next_t")
+
+    def __init__(self, stop: StopRule, grad_norm: float):
+        self.stop = stop
+        self.window = deque([grad_norm], maxlen=stop.last_k) \
+            if stop.last_k_tol is not None else None
+        self.stall_ref: Optional[float] = None
+        self.stall_next_t = 0
+
+    def check(self, t: int, value: float, grad_norm: float, quiescent) -> Optional[str]:
+        """The verdict once step ``t`` has left the iterate at ``value`` and
+        ``grad_norm``: "diverged", "target", "stalled", "cap" (tested in that
+        order) or None to go on.  ``quiescent(tol)`` tells whether every
+        in-flight gradient has norm at most ``tol``; only ``require_quiescent``
+        asks it.
+        """
+        stop = self.stop
+        if not math.isfinite(value) or value > stop.diverge_above \
+                or grad_norm > stop.diverge_above:
+            return "diverged"
+        if stop.grad_tol is not None and grad_norm <= stop.grad_tol \
+                and (not stop.require_quiescent or quiescent(stop.grad_tol)):
+            return "target"
+        window = self.window
+        if window is not None:
+            window.append(grad_norm)
+            # a mean over the last k iterates needs a full window of k entries
+            if len(window) == stop.last_k:
+                stall_due = stop.stall_window is not None and t >= self.stall_next_t
+                # the window sums non-negative norms left to right, so its mean is
+                # at least newest / k: above the tolerance there, only a stall
+                # checkpoint needs the mean
+                if stall_due or grad_norm / stop.last_k <= stop.last_k_tol:
+                    mean = _window_mean(window)
+                    if mean <= stop.last_k_tol and (not stop.require_quiescent
+                                                    or quiescent(stop.last_k_tol)):
+                        return "target"
+                    if stall_due:
+                        ref = self.stall_ref
+                        if ref is not None and math.isfinite(ref) \
+                                and mean > ref * (1.0 - stop.stall_improvement):
+                            return "stalled"
+                        self.stall_ref = mean
+                        self.stall_next_t = t + stop.stall_window
+        if t >= stop.max_iterations:
+            return "cap"
+        return None
+
 
 @dataclass(frozen=True)
 class FaultInjection:
@@ -482,19 +543,17 @@ def _run(
     # concurrency_log[t] is |C_t|, the trace's concurrency column before event t
     concurrency_log: list[int] = []
     iterates: Optional[list[Array]] = [x] if record_iterates else None
-    window = deque([grad_norm], maxlen=stop.last_k) if stop.last_k_tol is not None else None
-    stall_ref_mean: Optional[float] = None
-    stall_next_t = 0
+    tracker = stop.tracker(grad_norm)
 
     def quiescent(tol: float) -> bool:
-        return not stop.require_quiescent or all(
-            math.sqrt(float(np.dot(entry[-1], entry[-1]))) <= tol for entry in heap)
+        return all(math.sqrt(float(np.dot(entry[-1], entry[-1]))) <= tol for entry in heap)
 
     for w in policy.start(len(workers), client_rng):
         assign(w, t, sim_time, grad)
     concurrency_log.append(len(heap))
 
-    while True:
+    verdict = None
+    while verdict is None:
         if not heap:
             raise SimulationDeadlockError(
                 f"no jobs in flight at iteration {t}; the policy starved the queue"
@@ -524,32 +583,7 @@ def _run(
         col_assigned.append(len(selection))
         concurrency_log.append(len(heap))
 
-        if not math.isfinite(value) or value > stop.diverge_above \
-                or grad_norm > stop.diverge_above:
-            verdict = "diverged"
-            break
-        if stop.grad_tol is not None and grad_norm <= stop.grad_tol \
-                and quiescent(stop.grad_tol):
-            verdict = "target"
-            break
-        if window is not None:
-            window.append(grad_norm)
-            # a mean over the last k iterates needs a full window of k entries
-            if len(window) == stop.last_k:
-                mean = _window_mean(window)
-                if mean <= stop.last_k_tol and quiescent(stop.last_k_tol):
-                    verdict = "target"
-                    break
-                if stop.stall_window is not None and t >= stall_next_t:
-                    if stall_ref_mean is not None and math.isfinite(stall_ref_mean) \
-                            and mean > stall_ref_mean * (1.0 - stop.stall_improvement):
-                        verdict = "stalled"
-                        break
-                    stall_ref_mean = mean
-                    stall_next_t = t + stop.stall_window
-        if t >= stop.max_iterations:
-            verdict = "cap"
-            break
+        verdict = tracker.check(t, value, grad_norm, quiescent)
 
     if faults.delay_off_by_one:
         col_delay = [d + 1 for d in col_delay]
@@ -634,35 +668,23 @@ def run_grid(
     sim_time = 0.0
     values, grads = objective.values_and_gradients(xs)
     norms = _row_norms(grads)
-    # norms[s % depth] of every step s still needed by a window or a final error
-    depth = max(stop.last_k, ERROR_WINDOW + 1)
+    trackers = [stop.tracker(norm) for norm in norms.tolist()]
+    # norms[s % depth] of the last steps, which final errors average
+    depth = ERROR_WINDOW + 1
     history = np.empty((depth, len(cols)))
     history[0] = norms
-    windowed = stop.last_k_tol is not None
-    stall_ref = [None] * len(cols)
-    stall_next_t = 0
-
-    def last_norms(row: int, end: int, k: int) -> Array:
-        """The norms of ``row`` at steps end-k+1 .. end (from step 0 if fewer)."""
-        return history[np.arange(max(0, end - k + 1), end + 1) % depth, row]
 
     def outcome(row: int, end: int, verdict: str) -> TuneOutcome:
+        steps = np.arange(max(0, end - ERROR_WINDOW + 1), end + 1) % depth
         return TuneOutcome(end if verdict == "target" else None,
-                           float(last_norms(row, end, ERROR_WINDOW).mean()),
-                           verdict == "diverged")
+                           float(history[steps, row].mean()), verdict == "diverged")
 
-    inflight_norms: dict[int, Array] = {}  # row norms of in-flight jobs, by heap seq
+    row = 0  # the row whose verdict is being checked; quiescent() reads its jobs
 
-    def quiescent(row: int, tol: float) -> bool:
-        if not stop.require_quiescent:
-            return True
+    def quiescent(tol: float) -> bool:
         for entry in heap:
-            job_norms = inflight_norms.get(entry[2])
-            if job_norms is None:
-                # a job handed out at this step without shift or noise is grads itself
-                job_norms = norms if entry[-1] is grads else _row_norms(entry[-1])
-                inflight_norms[entry[2]] = job_norms
-            if not job_norms[row] <= tol:
+            job = entry[-1][row]
+            if not math.sqrt(float(np.dot(job, job))) <= tol:
                 return False
         return True
 
@@ -674,8 +696,7 @@ def run_grid(
             raise SimulationDeadlockError(
                 f"no jobs in flight at iteration {t}; the policy starved the queue"
             )
-        finish, _, seq, worker, start, job = heappop(heap)
-        inflight_norms.pop(seq, None)
+        finish, _, _, worker, start, job = heappop(heap)
         busy[worker] -= 1
         delay = t - start
         etas = np.array([rule.at(t, delay) for rule in rules])
@@ -690,43 +711,10 @@ def run_grid(
         for w in policy.after(t, worker, busy, client_rng):
             assign(w, t, sim_time, grads)
 
-        # vectorised screens; a flagged row gets _run's verdicts in _run's order
-        flagged = ~np.isfinite(values) | (values > stop.diverge_above) \
-            | (norms > stop.diverge_above)
-        if stop.grad_tol is not None:
-            flagged |= norms <= stop.grad_tol
-        full = windowed and t + 1 >= stop.last_k
-        if full:
-            # the window sums non-negative norms, so its mean is at least
-            # newest / k: a row above the tolerance there cannot stop on it
-            flagged |= norms / stop.last_k <= stop.last_k_tol
-        stall_due = full and stop.stall_window is not None and t >= stall_next_t
-        every_row = stall_due or t >= stop.max_iterations
-        if not (every_row or flagged.any()):
-            continue
-
         stopped: set[int] = set()
-        for row in range(len(cols)) if every_row else flagged.nonzero()[0].tolist():
-            verdict = None
-            if not math.isfinite(values[row]) or values[row] > stop.diverge_above \
-                    or norms[row] > stop.diverge_above:
-                verdict = "diverged"
-            elif stop.grad_tol is not None and norms[row] <= stop.grad_tol \
-                    and quiescent(row, stop.grad_tol):
-                verdict = "target"
-            elif full and (stall_due or quiescent(row, stop.last_k_tol)):
-                # a row still waiting for quiescence needs its mean only for a stall check
-                mean = _window_mean(last_norms(row, t, stop.last_k).tolist())
-                if mean <= stop.last_k_tol and quiescent(row, stop.last_k_tol):
-                    verdict = "target"
-                elif stall_due:
-                    ref = stall_ref[cols[row]]
-                    if ref is not None and math.isfinite(ref) \
-                            and mean > ref * (1.0 - stop.stall_improvement):
-                        verdict = "stalled"
-                    stall_ref[cols[row]] = mean
-            if verdict is None and t >= stop.max_iterations:
-                verdict = "cap"
+        for row, (tracker, value, norm) in enumerate(
+                zip(trackers, values.tolist(), norms.tolist())):
+            verdict = tracker.check(t, value, norm, quiescent)
             if verdict is None:
                 continue
             outcomes[cols[row]] = outcome(row, t, verdict)
@@ -737,8 +725,6 @@ def run_grid(
                     outcomes[cols[later]] = outcome(later, t - 1, "cap") if t > 1 else None
                     stopped.add(later)
                 break
-        if stall_due:
-            stall_next_t = t + stop.stall_window
         if stopped:
             keep = [row for row in range(len(cols)) if row not in stopped]
             if not keep:
@@ -746,11 +732,10 @@ def run_grid(
             rows = np.array(keep)
             cols = [cols[row] for row in keep]
             rules = [rules[row] for row in keep]
+            trackers = [trackers[row] for row in keep]
             xs = xs[rows]
             history = history[:, rows]
             heap[:] = [entry[:-1] + (entry[-1][rows],) for entry in heap]
-            for seq in inflight_norms:
-                inflight_norms[seq] = inflight_norms[seq][rows]
 
 
 def run_homogeneous(

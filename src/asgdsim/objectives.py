@@ -147,9 +147,7 @@ class LogisticObjective:
 class HeterogeneousFamily:
     """Client objectives f_i(x) = f(x) + shifts[i] . x with sum_i shifts[i] = 0.
 
-    The base objective is the mean objective of the family; per-client
-    heterogeneity is summarised by ``zeta_per_client`` (the tilt norms) and
-    ``zeta_sq`` (their mean square).
+    The base objective is the mean objective of the family.
     """
 
     base: QuadraticObjective
@@ -179,14 +177,6 @@ class HeterogeneousFamily:
     @property
     def smoothness(self) -> float:
         return self.base.smoothness
-
-    @property
-    def zeta_per_client(self) -> Array:
-        return np.linalg.norm(self.shifts, axis=1)
-
-    @property
-    def zeta_sq(self) -> float:
-        return float((self.zeta_per_client**2).mean())
 
     def value(self, x: Array) -> float:
         return self.base.value(x)

@@ -140,6 +140,17 @@ BAD_EXAMPLES = {
     "negative_eta": (lambda d: d["stepsize"].update(eta=-1), "config.stepsize: eta"),
     "bad_mode": (lambda d: d["stepsize"].update(kind="delay_adaptive", mode="clip"),
                  "config.stepsize: mode"),
+    # a non-positive threshold calls the first iterate diverged
+    "negative_diverge_above": (lambda d: d["stop"].update(diverge_above=-1),
+                               "config.stop.diverge_above"),
+    "zero_diverge_above": (lambda d: d["stop"].update(diverge_above=0),
+                           "config.stop.diverge_above"),
+    # a relative drop of 1 or more is never met, so every run would stall
+    "stall_improvement_above_one": (
+        lambda d: d["stop"].update(last_k_tol=1e-3, stall_window=50, stall_improvement=2.0),
+        "config.stop.stall_improvement"),
+    "negative_stall_improvement": (lambda d: d["stop"].update(stall_improvement=-0.1),
+                                   "config.stop.stall_improvement"),
 }
 
 
@@ -229,6 +240,33 @@ BAD_FLAG_LISTS = {
 }
 
 
+# command lines with one numeric flag outside its domain, and that flag
+BAD_FLAG_VALUES = {
+    "infinite_epsilon": (["scaling", "--preset", "quadratic", "--epsilon", "inf"], "--epsilon"),
+    "nan_epsilon": (["scaling", "--preset", "quadratic", "--epsilon", "nan"], "--epsilon"),
+    "negative_epsilon": (["scaling", "--preset", "quadratic", "--epsilon", "-1"], "--epsilon"),
+    "zero_max_iterations": (["scaling", "--preset", "quadratic", "--max-iterations", "0"],
+                            "--max-iterations"),
+    "zero_points_per_decade": (["scaling", "--preset", "quadratic",
+                                "--points-per-decade", "0"], "--points-per-decade"),
+    "negative_scaling_seed": (["scaling", "--preset", "quadratic", "--seed", "-1"], "--seed"),
+    "one_mc_sample": (["speedup", "--deltas", "1,2", "--concurrency", "1",
+                       "--oracle", "monte_carlo", "--mc-samples", "1"], "--mc-samples"),
+    "zero_mc_samples": (["speedup", "--deltas", "1,2", "--concurrency", "1",
+                         "--oracle", "monte_carlo", "--mc-samples", "0"], "--mc-samples"),
+    "negative_mc_samples": (["speedup", "--deltas", "1,2", "--concurrency", "1",
+                             "--oracle", "monte_carlo", "--mc-samples", "-5"], "--mc-samples"),
+    "negative_speedup_seed": (["speedup", "--deltas", "1,2", "--concurrency", "1",
+                               "--seed", "-1"], "--seed"),
+    "negative_verify_seed": (["verify", "--seed", "-3"], "--seed"),
+    "negative_fuzz_configs": (["verify", "--fuzz-configs", "-5"], "--fuzz-configs"),
+    "zero_fuzz_configs": (["verify", "--fuzz-configs", "0"], "--fuzz-configs"),
+    "negative_simulate_seed": (["simulate", str(EXAMPLE), "--seed", "-1"], "--seed"),
+    "negative_tune_seed": (["tune", str(EXAMPLE), "--seed", "-1"], "--seed"),
+    "negative_compare_seed": (["compare", str(EXAMPLE), "--seed", "-1"], "--seed"),
+}
+
+
 class TestFlagLists:
     @pytest.mark.parametrize("name", sorted(BAD_FLAG_LISTS))
     def test_bad_list_exits_1_naming_the_flag(self, name, tmp_path, capsys):
@@ -237,6 +275,14 @@ class TestFlagLists:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "invalid configuration" in err and flag in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(BAD_FLAG_VALUES))
+    def test_bad_value_exits_1_naming_the_flag(self, name, tmp_path, capsys):
+        argv, flag = BAD_FLAG_VALUES[name]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and flag in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

@@ -261,71 +261,129 @@ class TestClientSampling:
         assert trace.ledger.concurrency_log[0] == 5
 
 
-class TestStopRules:
-    def test_grad_tol_stops_early(self):
-        trace = run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
-                                ConstantStepsize(0.2), X0,
-                                StopRule(max_iterations=10_000, grad_tol=1e-8))
-        assert trace.stop_reason == "target"
-        assert trace.converged
-        assert trace.final_grad_norm <= 1e-8
+@pytest.fixture
+def stop_run(monkeypatch):
+    """``stop_run(loop, deltas, eta, stop, x0, noise, seed)``: the stop verdict of one
+    constant-stepsize run of QUAD and the step it came at, through ``_run``
+    ("single") or a one-column ``run_grid`` ("lockstep"), with the run's trace or
+    tuning outcome."""
+    seen = []
+    check = engine.StopTracker.check
 
-    def test_last_k_needs_a_full_window(self):
+    def spy(self, t, *args):
+        verdict = check(self, t, *args)
+        if verdict is not None:
+            seen.append((verdict, t))
+        return verdict
+
+    monkeypatch.setattr(engine.StopTracker, "check", spy)
+
+    def run(loop, deltas, eta, stop, x0=X0, noise=NO_NOISE, seed=0):
+        seen.clear()
+        if loop == "single":
+            result = run_homogeneous(QUAD, noise, constant_fleet(deltas), MaxConcurrency(),
+                                     ConstantStepsize(eta), x0, stop, master_seed=seed)
+            assert seen == [(result.stop_reason, len(result))]
+        else:
+            [result] = engine.run_grid(QUAD, noise, constant_fleet(deltas), MaxConcurrency(),
+                                       [ConstantStepsize(eta)], x0, stop, master_seed=seed)
+            [(verdict, steps)] = seen
+            assert result.iterations_to_target == (steps if verdict == "target" else None)
+            assert result.diverged == (verdict == "diverged")
+        return seen[0], result
+
+    return run
+
+
+LOOPS = pytest.mark.parametrize("loop", ["single", "lockstep"])
+
+
+class TestStopRules:
+    @LOOPS
+    def test_grad_tol_stops_early(self, loop, stop_run):
+        (verdict, steps), result = stop_run(loop, [1.0], 0.2,
+                                            StopRule(max_iterations=10_000, grad_tol=1e-8))
+        assert verdict == "target" and steps < 10_000
+        if loop == "single":
+            assert result.converged
+            assert result.final_grad_norm <= 1e-8
+
+    @LOOPS
+    def test_last_k_needs_a_full_window(self, loop, stop_run):
         # the window mean can only fire once last_k iterates exist, so a run
         # that starts at the optimum still performs last_k iterations
         x_star = np.linalg.solve(QUAD.matrix_a, QUAD.vector_b)
-        trace = run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
-                                ConstantStepsize(0.1), x_star,
-                                StopRule(max_iterations=100, last_k_tol=1e-10, last_k=30))
-        assert trace.stop_reason == "target"
+        stop = StopRule(max_iterations=100, last_k_tol=1e-10, last_k=30)
         # x_0 counts toward the window, so 29 updates complete it
-        assert len(trace) == 29
+        assert stop_run(loop, [1.0], 0.1, stop, x0=x_star)[0] == ("target", 29)
 
-    def test_divergence_detected(self):
-        trace = run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
-                                ConstantStepsize(10.0), X0,
-                                StopRule(max_iterations=10_000, diverge_above=1e8))
-        assert trace.diverged
-        assert trace.stop_reason == "diverged"
-        assert not trace.converged
+    @LOOPS
+    def test_window_mean_stops_while_the_newest_norm_is_above_the_tolerance(
+            self, loop, stop_run):
+        """The window is skipped only when its newest norm / k is above the tolerance;
+        here the mean reaches the tolerance while the newest norm is above it."""
+        k = 5
+        noise = NoiseModel(0.3)
+        ref = run_homogeneous(QUAD, noise, constant_fleet([1.0, 1.3]), MaxConcurrency(),
+                              ConstantStepsize(0.1), np.ones(4),
+                              StopRule(max_iterations=300), master_seed=1)
+        norms = list(ref.grad_norms) + [ref.final_grad_norm]
+        means = [engine._window_mean(norms[t - k + 1:t + 1]) for t in range(k - 1, len(norms))]
+        step = next(t for t, mean in enumerate(means, start=k - 1)
+                    if mean < min(means[:t - k + 1], default=math.inf) and norms[t] > mean)
+        stop = StopRule(max_iterations=300, last_k=k, last_k_tol=means[step - k + 1])
+        assert stop_run(loop, [1.0, 1.3], 0.1, stop, x0=np.ones(4), noise=noise,
+                        seed=1)[0] == ("target", step)
 
-    def test_cap_without_target_counts_as_complete(self):
-        trace = simple_run(constant_fleet([1.0]), MaxConcurrency(), 7)
-        assert trace.stop_reason == "cap"
-        assert trace.converged
+    @LOOPS
+    def test_divergence_detected(self, loop, stop_run):
+        (verdict, _), result = stop_run(loop, [1.0], 10.0,
+                                        StopRule(max_iterations=10_000, diverge_above=1e8))
+        assert verdict == "diverged"
+        if loop == "single":
+            assert result.diverged and not result.converged
 
-    def test_cap_with_target_is_not_converged(self):
-        trace = run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
-                                ConstantStepsize(1e-9), X0,
-                                StopRule(max_iterations=50, grad_tol=1e-12))
-        assert trace.stop_reason == "cap"
-        assert not trace.converged
+    @LOOPS
+    def test_cap_without_target_counts_as_complete(self, loop, stop_run):
+        verdict, result = stop_run(loop, [1.0], 0.1, StopRule(max_iterations=7))
+        assert verdict == ("cap", 7)
+        if loop == "single":
+            assert result.converged
 
-    def test_quiescent_stop_waits_for_inflight_straggler(self):
+    @LOOPS
+    def test_cap_with_target_is_not_converged(self, loop, stop_run):
+        verdict, result = stop_run(loop, [1.0], 1e-9,
+                                   StopRule(max_iterations=50, grad_tol=1e-12))
+        assert verdict == ("cap", 50)
+        if loop == "single":
+            assert not result.converged
+
+    @LOOPS
+    @pytest.mark.parametrize("tolerance", [{"last_k_tol": 1e-3, "last_k": 30},
+                                           {"grad_tol": 1e-3}], ids=["window", "grad_tol"])
+    def test_quiescent_stop_waits_for_inflight_straggler(self, loop, tolerance, stop_run):
         # without the quiescence requirement the run stops before the slow
-        # worker's first (still huge) gradient lands
-        stop_plain = StopRule(max_iterations=5_000, last_k_tol=1e-3, last_k=30)
-        stop_quiet = StopRule(max_iterations=5_000, last_k_tol=1e-3, last_k=30,
-                              require_quiescent=True)
-        fleet = constant_fleet([1.0, 200.0])
-        plain = run_homogeneous(QUAD, NO_NOISE, fleet, MaxConcurrency(),
-                                ConstantStepsize(0.1), X0, stop_plain)
-        quiet = run_homogeneous(QUAD, NO_NOISE, fleet, MaxConcurrency(),
-                                ConstantStepsize(0.1), X0, stop_quiet)
-        assert plain.converged and metrics.max_delay(plain.ledger) < 200
-        assert quiet.converged and metrics.max_delay(quiet.ledger) == 200
-        assert len(quiet) > len(plain)
+        # worker's first (still huge) gradient lands at iteration 200
+        plain, quiet = (
+            stop_run(loop, [1.0, 200.0], 0.1,
+                     StopRule(max_iterations=5_000, require_quiescent=required, **tolerance))
+            for required in (False, True))
+        (plain_verdict, plain_steps), plain_result = plain
+        (quiet_verdict, quiet_steps), quiet_result = quiet
+        assert plain_verdict == quiet_verdict == "target"
+        assert plain_steps < 200 <= quiet_steps
+        if loop == "single":
+            assert metrics.max_delay(plain_result.ledger) < 200
+            assert metrics.max_delay(quiet_result.ledger) == 200
 
-    def test_stall_detector_ends_oscillating_run(self):
+    @LOOPS
+    def test_stall_detector_ends_oscillating_run(self, loop, stop_run):
         # stepsize far above the stability threshold but kept finite by the
-        # divergence guard being loose: the stall check must end the run
-        trace = run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
-                                ConstantStepsize(0.5000001), X0,
-                                StopRule(max_iterations=100_000, last_k_tol=1e-300,
-                                         last_k=10, diverge_above=1e280,
-                                         stall_window=200))
-        assert trace.stop_reason in ("stalled", "diverged")
-        assert len(trace) < 100_000
+        # divergence guard being loose: the stall check must end the run.  The
+        # window is full at step 9, so the checkpoints are steps 9, 209, 409, ...
+        stop = StopRule(max_iterations=100_000, last_k_tol=1e-300, last_k=10,
+                        diverge_above=1e280, stall_window=200)
+        assert stop_run(loop, [1.0], 0.5000001, stop)[0] == ("stalled", 409)
 
     def test_stall_requires_window_tolerance(self):
         with pytest.raises(InvalidConfigError):
