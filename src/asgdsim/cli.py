@@ -19,8 +19,7 @@ import argparse
 import json
 import math
 import sys
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -66,6 +65,7 @@ from .stepsize import (
     DelayAdaptiveStepsize,
     TheoreticalConstantStepsize,
     TuneOutcome,
+    TuningResult,
     adaptive_eta_bounds,
     default_log_grid,
     grid_tune,
@@ -113,9 +113,14 @@ def _at(path: str, make, *args, **kwargs):
         raise InvalidConfigError(f"{path}: {exc}") from exc
 
 
-class BuiltConfig(NamedTuple):
-    """The runnable parts of a config, built once when it is loaded."""
+class ExperimentConfig(NamedTuple):
+    """One run's config, validated by building every block once.
 
+    ``data`` is the JSON object with its defaults filled in (what ``simulate``
+    writes as ``config.json``); the other fields are the parts built from it.
+    """
+
+    data: dict
     objective: object
     workers: list[WorkerModel]
     policy: object
@@ -125,27 +130,6 @@ class BuiltConfig(NamedTuple):
     grid: list[float]  # the tuning grid; the default grid without a tuning block
     criterion: str
     stepsize: object  # None when the stepsize block leaves eta to ``tune``
-
-
-@dataclass
-class ExperimentConfig:
-    """Plain-data description of one run; round-trips losslessly through JSON.
-
-    ``from_dict`` validates every block by building it and keeps the parts
-    in ``built``, which takes no part in equality, ``repr`` or ``to_dict``.
-    """
-
-    seed: int
-    objective: dict
-    workers: list
-    policy: dict
-    stop: dict
-    noise_sigma: float = 0.0
-    stepsize: Optional[dict] = None
-    tuning: Optional[dict] = None
-    x0: Optional[list] = None
-    replicas: int = 1
-    built: Optional[BuiltConfig] = field(default=None, init=False, repr=False, compare=False)
 
     KEYS = ("seed", "objective", "workers", "policy", "stop", "noise_sigma",
             "stepsize", "tuning", "x0", "replicas")
@@ -170,8 +154,8 @@ class ExperimentConfig:
         _expect(replicas >= 1, f"{path}.replicas", "must be at least 1")
         _expect(stepsize is not None or tuning is not None, path,
                 "needs a stepsize block (or a tuning block for the tune command)")
-        cfg = cls(seed, objective, list(workers), policy, stop, sigma,
-                  stepsize, tuning, list(x0) if x0 is not None else None, replicas)
+        values = (seed, objective, workers, policy, stop, sigma, stepsize, tuning, x0, replicas)
+        filled = {key: value for key, value in zip(cls.KEYS, values) if value is not None}
 
         problem = _build_objective(objective, seed)
         fleet = _build_workers(workers)
@@ -187,47 +171,28 @@ class ExperimentConfig:
                     f"length {len(x0)} does not match objective dimension {problem.dim}")
             start = np.array([_value(v, f"{path}.x0[{i}]", float) for i, v in enumerate(x0)])
         grid, criterion = _build_tuning(tuning or {})
-        cfg.built = BuiltConfig(problem, fleet, schedule, _build_stop(stop),
-                                NoiseModel(sigma), start, grid, criterion, None)
+        cfg = cls(filled, problem, fleet, schedule, _build_stop(stop), NoiseModel(sigma),
+                  start, grid, criterion, None)
         if stepsize is not None:
             # tune supplies eta itself: a block without one is checked at a grid value
             tuned = stepsize.get("eta") is None and stepsize.get("kind") != "theoretical"
             rule = cfg.build_stepsize(grid[0] if tuned else None)
-            cfg.built = cfg.built._replace(stepsize=None if tuned else rule)
+            cfg = cfg if tuned else cfg._replace(stepsize=rule)
         return cfg
-
-    def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "objective": self.objective,
-            "workers": self.workers,
-            "policy": self.policy,
-            "stop": self.stop,
-            "noise_sigma": self.noise_sigma,
-            "replicas": self.replicas,
-        }
-        if self.stepsize is not None:
-            out["stepsize"] = self.stepsize
-        if self.tuning is not None:
-            out["tuning"] = self.tuning
-        if self.x0 is not None:
-            out["x0"] = self.x0
-        return out
 
     def build_stepsize(self, eta: Optional[float] = None):
         """The configured stepsize rule, with base stepsize ``eta`` when one is given."""
-        spec = self.stepsize
         path = "config.stepsize"
+        spec = self.data.get("stepsize")
         _expect(spec is not None, path, "is required to run")
-        built = self.built
         kind = _field(spec, "kind", path, str)
         # the policy's own concurrency: its jobs in flight, its batch size or the fleet
         concurrency = _field(spec, "concurrency", path, int, required=False,
-                             default=getattr(built.policy, "concurrency",
-                                             getattr(built.policy, "batch_size",
-                                                     len(built.workers))))
+                             default=getattr(self.policy, "concurrency",
+                                             getattr(self.policy, "batch_size",
+                                                     len(self.workers))))
         lipschitz = _field(spec, "lipschitz", path, float, required=False,
-                           default=built.objective.smoothness)
+                           default=self.objective.smoothness)
         if kind == "constant":
             return _at(path, ConstantStepsize,
                        eta if eta is not None else _field(spec, "eta", path, float))
@@ -245,9 +210,9 @@ class ExperimentConfig:
                 max_delay=_field(spec, "max_delay", path, float, required=False,
                                  default=float(concurrency)),
                 concurrency=float(concurrency),
-                sigma=self.noise_sigma,
-                initial_gap=gap if gap is not None else built.objective.value(built.x0),
-                horizon=built.stop.max_iterations,
+                sigma=self.noise.sigma,
+                initial_gap=gap if gap is not None else self.objective.value(self.x0),
+                horizon=self.stop.max_iterations,
             )
         raise InvalidConfigError(f"{path}.kind: unknown stepsize {kind!r}")
 
@@ -363,57 +328,46 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def run_config(cfg: ExperimentConfig, master_seed: int, stepsize=None,
-               stop: Optional[StopRule] = None):
-    """Run the built parts of ``cfg`` once, optionally under another stepsize or stop rule."""
-    built = cfg.built
-    stepsize = stepsize if stepsize is not None else built.stepsize
-    stop = stop if stop is not None else built.stop
-    if isinstance(built.objective, HeterogeneousFamily):
-        return run_heterogeneous(built.objective, built.noise, built.workers,
-                                 built.policy.concurrency, stepsize, built.x0, stop,
-                                 master_seed=master_seed)
-    return run_homogeneous(built.objective, built.noise, built.workers, built.policy,
-                           stepsize, built.x0, stop, master_seed=master_seed)
+def run_config(cfg: ExperimentConfig, master_seed: int, stepsize=None):
+    """Run the built parts of ``cfg`` once, optionally under another stepsize."""
+    stepsize = stepsize if stepsize is not None else cfg.stepsize
+    if isinstance(cfg.objective, HeterogeneousFamily):
+        return run_heterogeneous(cfg.objective, cfg.noise, cfg.workers, cfg.policy.concurrency,
+                                 stepsize, cfg.x0, cfg.stop, master_seed=master_seed)
+    return run_homogeneous(cfg.objective, cfg.noise, cfg.workers, cfg.policy, stepsize,
+                           cfg.x0, cfg.stop, master_seed=master_seed)
 
 
 # ---------------------------------------------------------------------------
 # tuning
 
 
-def make_tuning_runner(objective, noise, workers, policy, make_stepsize, x0,
-                       stop: StopRule, seed: int, grid, criterion: str):
-    """The ``run(eta, budget)`` of ``grid_tune``, answered from one lockstep run.
+def tune(objective, noise, workers, policy, make_stepsize, x0, stop: StopRule, seed: int,
+         grid, criterion: str) -> TuningResult:
+    """``grid_tune`` of ``make_stepsize(eta)`` over ``grid``, answered from one lockstep run.
 
-    The first call runs every stepsize of ``grid`` (``make_stepsize(eta)``)
-    at once with ``run_grid``, largest first and, under ``min_T_to_eps``,
-    with grid_tune's dominance budgets.  Each call then returns its point's
-    outcome, after checking that it asks for the next point and for the
-    iteration cap that the lockstep run applied to it.
+    grid_tune's first ``run(eta, budget)`` call runs every stepsize at once
+    with ``run_grid``, largest first and, under ``min_T_to_eps``, with the
+    dominance budgets that grid_tune hands out; each call then takes the
+    next outcome that the lockstep run did not skip.
     """
-    dominance = criterion == "min_T_to_eps"
-    pending: Optional[deque] = None
-    best = math.inf  # fewest iterations to the target so far, as grid_tune keeps it
+    pending = None
 
     def run(eta: float, budget: Optional[int]) -> TuneOutcome:
-        nonlocal pending, best
+        nonlocal pending
         if pending is None:
             etas = sorted((float(g) for g in grid), reverse=True)
             outcomes = run_grid(objective, noise, workers, policy,
-                                [make_stepsize(e) for e in etas], x0, stop,
-                                master_seed=seed, dominance=dominance)
-            pending = deque((e, o) for e, o in zip(etas, outcomes) if o is not None)
-        point, outcome = pending.popleft()
-        applied = min(stop.max_iterations, best - 1)
-        if point != eta or applied != (stop.max_iterations if budget is None
-                                       else min(budget, stop.max_iterations)):
-            raise RuntimeError(f"grid_tune asked for eta {eta} with budget {budget}; the "
-                               f"lockstep run gave eta {point} a cap of {applied}")
-        if dominance and outcome.iterations_to_target is not None and not outcome.diverged:
-            best = min(best, outcome.iterations_to_target)
+                                [make_stepsize(e) for e in etas], x0, stop, master_seed=seed,
+                                dominance=criterion == "min_T_to_eps")
+            pending = iter([(e, o) for e, o in zip(etas, outcomes) if o is not None])
+        point, outcome = next(pending)
+        if point != eta:
+            raise RuntimeError(f"grid_tune asked for eta {eta}; the lockstep run's next "
+                               f"point is {point}")
         return outcome
 
-    return run
+    return grid_tune(run, grid, criterion, stop.max_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -422,44 +376,41 @@ def make_tuning_runner(objective, noise, workers, policy, make_stepsize, x0,
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    _expect(cfg.built.stepsize is not None, "config.stepsize.eta", "is required to simulate")
-    seed = args.seed if args.seed is not None else cfg.seed
+    _expect(cfg.stepsize is not None, "config.stepsize.eta", "is required to simulate")
+    seed = args.seed if args.seed is not None else cfg.data["seed"]
+    replicas = cfg.data["replicas"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     exit_code = 0
-    for replica in range(cfg.replicas):
+    for replica in range(replicas):
         master = seed + replica
         trace = run_config(cfg, master)
-        suffix = f"_r{replica}" if cfg.replicas > 1 else ""
+        suffix = f"_r{replica}" if replicas > 1 else ""
         trace.to_csv(out / f"trace{suffix}.csv")
         payload = metrics_mod.summary(trace)
         payload["master_seed"] = master
         write_json(out / f"metrics{suffix}.json", payload)
-        if cfg.built.stop.has_target and not trace.converged:
+        if cfg.stop.has_target and not trace.converged:
             exit_code = 2
-    write_json(out / "config.json", cfg.to_dict() | {"seed": seed})
-    print(f"simulate: wrote {cfg.replicas} run(s) to {out}")
+    write_json(out / "config.json", cfg.data | {"seed": seed})
+    print(f"simulate: wrote {replicas} run(s) to {out}")
     return exit_code
 
 
 def cmd_tune(args) -> int:
     cfg = load_config(args.config)
-    built = cfg.built
-    _expect(cfg.stepsize is not None, "config.stepsize", "is required for tuning")
-    _expect(not isinstance(built.stepsize, TheoreticalConstantStepsize), "config.stepsize",
+    _expect("stepsize" in cfg.data, "config.stepsize", "is required for tuning")
+    _expect(not isinstance(cfg.stepsize, TheoreticalConstantStepsize), "config.stepsize",
             "the theoretical stepsize cannot be grid-tuned")
-    if built.criterion == "min_T_to_eps":
-        _expect(built.stop.has_target, "config.stop",
+    if cfg.criterion == "min_T_to_eps":
+        _expect(cfg.stop.has_target, "config.stop",
                 "min_T_to_eps tuning needs grad_tol or last_k_tol")
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = args.seed if args.seed is not None else cfg.data["seed"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    runner = make_tuning_runner(built.objective, built.noise, built.workers, built.policy,
-                                cfg.build_stepsize, built.x0, built.stop, seed,
-                                built.grid, built.criterion)
     try:
-        result = grid_tune(runner, built.grid, criterion=built.criterion,
-                           max_iterations=built.stop.max_iterations)
+        result = tune(cfg.objective, cfg.noise, cfg.workers, cfg.policy, cfg.build_stepsize,
+                      cfg.x0, cfg.stop, seed, cfg.grid, cfg.criterion)
     except TuningFailedError as exc:
         print(f"tune: failed: {exc}", file=sys.stderr)
         write_json(out / "tuning.json", {"failed": True, "points": exc.points})
@@ -490,9 +441,8 @@ def _scaling_point(objective, slow_factor: float, epsilon: float, grid: list[flo
                     stall_window=max(2000, 4 * int(slow_factor)))
     x0 = np.zeros(objective.dim)
     noise = NoiseModel(0.0)
-    runner = make_tuning_runner(objective, noise, workers, MaxConcurrency(), ConstantStepsize,
-                                x0, stop, seed, grid, "min_T_to_eps")
-    result = grid_tune(runner, grid, criterion="min_T_to_eps")
+    result = tune(objective, noise, workers, MaxConcurrency(), ConstantStepsize, x0, stop, seed,
+                  grid, "min_T_to_eps")
     best = run_homogeneous(objective, noise, workers, MaxConcurrency(),
                            ConstantStepsize(result.best_eta), x0, stop, master_seed=seed)
     observed = metrics_mod.max_delay(best.ledger)
@@ -544,20 +494,11 @@ def cmd_scaling(args) -> int:
     report = scaling_experiment(
         args.preset, factors, epsilon=args.epsilon,
         points_per_decade=args.points_per_decade,
-        max_iterations=args.max_iterations, seed=args.seed or 0,
+        max_iterations=args.max_iterations, seed=args.seed,
     )
-    write_json(out / "scaling.json", report.to_dict())
-    write_csv(
-        out / "scaling.csv",
-        ("slow_factor", "observed_max_delay", "sqrt_max_delay", "tuned_eta",
-         "eta_on_grid_edge", "iterations_to_target", "sim_time_to_target", "final_error"),
-        [
-            (p.slow_factor, p.observed_max_delay, p.sqrt_max_delay, p.tuned_eta,
-             int(p.eta_on_grid_edge), p.iterations_to_target, p.sim_time_to_target,
-             p.final_error)
-            for p in report.points
-        ],
-    )
+    write_json(out / "scaling.json", asdict(report))
+    write_csv(out / "scaling.csv", [f.name for f in fields(ScalingPoint)],
+              [astuple(p) for p in report.points])
     xs = [p.sqrt_max_delay for p in report.points]
     ys = [float(p.iterations_to_target) for p in report.points]
     series = [("tuned runs", xs, ys)]
@@ -579,25 +520,19 @@ def cmd_scaling(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    built = cfg.built
-    objective, workers, stop, noise, x0 = (built.objective, built.workers, built.stop,
-                                           built.noise, built.x0)
+    objective, workers, stop, noise, x0 = cfg.objective, cfg.workers, cfg.stop, cfg.noise, cfg.x0
     _expect(not isinstance(objective, HeterogeneousFamily), "config.objective",
             "compare runs homogeneous fleets")
     _expect(stop.has_target, "config.stop", "compare needs grad_tol or last_k_tol")
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = args.seed if args.seed is not None else cfg.data["seed"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = len(workers)
-    grid = built.grid if cfg.tuning else default_log_grid(points_per_decade=2)
-
-    def tune_policy(policy):
-        runner = make_tuning_runner(objective, noise, workers, policy, ConstantStepsize,
-                                    x0, stop, seed, grid, "min_T_to_eps")
-        return grid_tune(runner, grid, criterion="min_T_to_eps")
-
-    async_tuned = tune_policy(MaxConcurrency())
-    minibatch_tuned = tune_policy(MiniBatch())
+    grid = cfg.grid if "tuning" in cfg.data else default_log_grid(points_per_decade=2)
+    async_tuned, minibatch_tuned = (
+        tune(objective, noise, workers, policy, ConstantStepsize, x0, stop, seed, grid,
+             cfg.criterion)
+        for policy in (MaxConcurrency(), MiniBatch()))
     eta = async_tuned.best_eta
     policies = {
         "async_constant": (MaxConcurrency(), ConstantStepsize(eta)),
@@ -671,7 +606,7 @@ def cmd_speedup(args) -> int:
     inp = speedup_mod.SpeedupInput(tuple(deltas), args.concurrency)
     weights = speedup_mod.minibatch_weights(inp.n_clients, inp.concurrency)
     oracle = speedup_mod.minibatch_time_oracle(inp, method=args.oracle,
-                                               samples=args.mc_samples, seed=args.seed or 0)
+                                               samples=args.mc_samples, seed=args.seed)
     payload = {
         "n_clients": inp.n_clients,
         "concurrency": inp.concurrency,
@@ -698,7 +633,7 @@ def cmd_speedup(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all as run_all_checks
 
-    results = run_all_checks(fuzz_configs=args.fuzz_configs, seed=args.seed or 20260816)
+    results = run_all_checks(fuzz_configs=args.fuzz_configs, seed=args.seed)
     failed = [r for r in results if not r.passed]
     for result in results:
         tag = "PASS" if result.passed else "FAIL"
@@ -788,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the built-in verification checks")
     p.add_argument("--fuzz-configs", type=int, default=300)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=20260816, help="seed of the fuzzed schedules")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

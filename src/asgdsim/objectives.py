@@ -204,20 +204,17 @@ def _row_dots(rows: Array) -> Array:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gradient noise specification.
+    """Isotropic Gaussian gradient noise.
 
-    ``gaussian-isotropic`` draws have per-coordinate variance sigma^2 / dim,
-    so the expected squared norm of a draw is exactly sigma^2.
+    Draws have per-coordinate variance sigma^2 / dim, so the expected squared
+    norm of a draw is exactly sigma^2.
     """
 
     sigma: float = 0.0
-    distribution: str = "gaussian-isotropic"
 
     def __post_init__(self):
         if self.sigma < 0:
             raise InvalidSpecError(f"sigma must be non-negative, got {self.sigma}")
-        if self.distribution != "gaussian-isotropic":
-            raise InvalidSpecError(f"unknown noise distribution {self.distribution!r}")
 
     def sample(self, dim: int, rng: np.random.Generator) -> Array:
         if self.sigma == 0.0:

@@ -25,14 +25,6 @@ class LinearFit:
     r_squared: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-        }
-
 
 def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Ordinary least squares y = slope * x + intercept with in-sample R^2."""
@@ -61,18 +53,6 @@ class ScalingPoint:
     sim_time_to_target: float
     final_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "slow_factor": self.slow_factor,
-            "observed_max_delay": self.observed_max_delay,
-            "sqrt_max_delay": self.sqrt_max_delay,
-            "tuned_eta": self.tuned_eta,
-            "eta_on_grid_edge": self.eta_on_grid_edge,
-            "iterations_to_target": self.iterations_to_target,
-            "sim_time_to_target": self.sim_time_to_target,
-            "final_error": self.final_error,
-        }
-
 
 @dataclass
 class ScalingReport:
@@ -88,19 +68,17 @@ class ScalingReport:
         if self.fit is not None and len(self.points) < 3:
             raise InvalidConfigError("a fitted report needs at least 3 points")
 
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "epsilon": self.epsilon,
-            "points": [p.to_dict() for p in self.points],
-            "fit": self.fit.to_dict() if self.fit else None,
-            "warnings": list(self.warnings),
-        }
-
 
 def write_json(path, payload: dict) -> None:
     """Standard JSON only: a NaN or infinity in ``payload`` raises ``ValueError``."""
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _cell(value):
+    """Floats as ``repr`` (which round-trips exactly), booleans as 0/1."""
+    if isinstance(value, bool):
+        return int(value)
+    return repr(value) if isinstance(value, float) else value
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -108,7 +86,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([_cell(v) for v in row])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ with the second branch dropping out entirely in the noiseless case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -175,14 +175,7 @@ class TuningResult:
     best_on_grid_edge: bool
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "grid": list(self.grid),
-            "points": [p.to_dict() for p in self.points],
-            "best_eta": self.best_eta,
-            "best_metric": self.best_metric,
-            "best_on_grid_edge": self.best_on_grid_edge,
-        }
+        return asdict(self) | {"points": [p.to_dict() for p in self.points]}
 
 
 def grid_tune(

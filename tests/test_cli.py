@@ -37,7 +37,7 @@ def write_config(tmp_path, data, name="run.json"):
 class TestConfigParsing:
     def test_round_trip_is_lossless(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(cfg.data).data == cfg.data
 
     def test_round_trip_keeps_optional_blocks(self):
         data = tiny_config(
@@ -46,11 +46,11 @@ class TestConfigParsing:
             stop={"max_iterations": 60, "grad_tol": 1e-6},
         )
         cfg = ExperimentConfig.from_dict(data)
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.to_dict()["x0"] == [1.0, 0.0, -1.0]
+        assert ExperimentConfig.from_dict(cfg.data).data == cfg.data
+        assert cfg.data["x0"] == [1.0, 0.0, -1.0]
 
-    def test_to_dict_omits_absent_optionals(self):
-        out = ExperimentConfig.from_dict(tiny_config()).to_dict()
+    def test_data_omits_absent_optionals(self):
+        out = ExperimentConfig.from_dict(tiny_config()).data
         assert "tuning" not in out and "x0" not in out
 
     def test_unknown_key_names_the_config(self):
@@ -86,8 +86,8 @@ class TestConfigParsing:
     def test_int_is_accepted_where_float_expected(self):
         data = tiny_config(stepsize={"kind": "constant", "eta": 1})
         cfg = ExperimentConfig.from_dict(data)
-        assert cfg.built.stepsize.eta == 1.0
-        assert isinstance(cfg.built.stepsize.eta, float)
+        assert cfg.stepsize.eta == 1.0
+        assert isinstance(cfg.stepsize.eta, float)
 
     def test_run_config_executes(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
@@ -170,7 +170,7 @@ class TestConfigBoundary:
     def test_require_quiescent_takes_json_booleans(self, flag):
         cfg = ExperimentConfig.from_dict(
             tiny_config(stop={"max_iterations": 60, "require_quiescent": flag}))
-        assert cfg.built.stop.require_quiescent is flag
+        assert cfg.stop.require_quiescent is flag
 
 
 def _leaves(node, where=()):
@@ -496,6 +496,25 @@ class TestSubcommands:
         assert lines and all(line.startswith("[PASS]") for line in lines)
         payload = json.loads((out / "verify.json").read_text())
         assert payload["all_passed"] is True
+
+    @pytest.mark.parametrize("argv,seed", [([], 20260816), (["--seed", "0"], 0)])
+    def test_verify_passes_its_seed_to_the_checks(self, argv, seed, monkeypatch):
+        from asgdsim import verify
+
+        seen = []
+        monkeypatch.setattr(verify, "run_all",
+                            lambda fuzz_configs, seed: seen.append(seed) or [])
+        assert main(["verify", "--fuzz-configs", "1"] + argv) == 0
+        assert seen == [seed]
+
+    def test_compare_tunes_under_the_configured_criterion(self, tmp_path):
+        data = json.loads(EXAMPLE.read_text())
+        data["tuning"]["criterion"] = "min_final_error"
+        out = tmp_path / "cmp"
+        assert main(["compare", write_config(tmp_path, data), "--out", str(out)]) == 0
+        tuning = json.loads((out / "comparison.json").read_text())["tuning"]
+        assert [tuning[name]["criterion"] for name in ("async", "minibatch")] == \
+            ["min_final_error"] * 2
 
     def test_compare_smoke(self, tmp_path):
         data = tiny_config(

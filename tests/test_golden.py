@@ -114,6 +114,7 @@ COMMANDS = {
                 "--points-per-decade", "2", "--seed", "3"],
     "speedup": ["speedup", "--deltas", "1:5,4:2", "--concurrency", "3",
                 "--oracle", "monte_carlo", "--mc-samples", "500", "--seed", "2"],
+    "verify": ["verify", "--fuzz-configs", "10", "--seed", "0"],
 }
 
 GOLDEN = {
@@ -152,6 +153,9 @@ GOLDEN = {
         "best_metrics.json": "98ff61fbe61adf13c26a79bc4ce77aafe03e0a5d9429d5aa071fb67b4c5c8d58",
         "best_trace.csv": "b5f2d9837eda955941a1913a3c29da408365a4ef50ba398b2993a3b337df28bd",
         "tuning.json": "4e878d524d98d70a20d7ddaab24ba2b932b1895a1c038601241c6bcf06b361b6",
+    },
+    "verify": {
+        "verify.json": "eace58fd878d32650f6ec3e2c2ed7876ab1c3a93f9886046936fd85ca602bbee",
     },
 }
 

@@ -3,9 +3,9 @@
 ``sequential_runner`` is the per-point tuning runner that ``tune``,
 ``compare`` and ``scaling`` used before the grid ran in lockstep: one full
 ``run_homogeneous``/``run_heterogeneous`` per grid point, capped at the
-budget ``grid_tune`` hands it.  ``cli.make_tuning_runner`` answers the same
-calls from one ``engine.run_grid``; every ``TuningResult`` and every
-``TuningFailedError`` point list must be equal.
+budget ``grid_tune`` hands it.  ``cli.tune`` answers the same calls from one
+``engine.run_grid``; every ``TuningResult`` and every ``TuningFailedError``
+point list must be equal.
 """
 
 import dataclasses
@@ -40,7 +40,7 @@ from asgdsim import (
     run_heterogeneous,
     run_homogeneous,
 )
-from asgdsim.cli import make_tuning_runner
+from asgdsim.cli import tune
 from asgdsim.engine import _window_mean, run_grid
 from asgdsim.objectives import HeterogeneousFamily
 
@@ -67,10 +67,13 @@ class Case:
         return run_homogeneous(self.objective, self.noise, self.workers, self.policy,
                                stepsize, self.x0, stop, master_seed=self.seed)
 
-    def lockstep_runner(self):
-        return make_tuning_runner(self.objective, self.noise, self.workers, self.policy,
-                                  self.make_stepsize, self.x0, self.stop, self.seed,
-                                  self.grid, self.criterion)
+    def lockstep_tune(self):
+        return tune(self.objective, self.noise, self.workers, self.policy, self.make_stepsize,
+                    self.x0, self.stop, self.seed, self.grid, self.criterion)
+
+    def sequential_tune(self):
+        return grid_tune(sequential_runner(self.simulate, self.stop), self.grid, self.criterion,
+                         self.stop.max_iterations)
 
 
 def sequential_runner(simulate, stop: StopRule):
@@ -90,10 +93,10 @@ def sequential_runner(simulate, stop: StopRule):
     return run
 
 
-def tune(case: Case, runner):
-    """``grid_tune``'s result as text (repr keeps NaN apart from inf), or its error."""
+def outcome(tuning):
+    """The result of ``tuning()`` as text (repr keeps NaN apart from inf), or its error."""
     try:
-        return repr(grid_tune(runner, case.grid, case.criterion, case.stop.max_iterations))
+        return repr(tuning())
     except TuningFailedError as exc:
         return ("failed", repr(exc.points))
     except SimulatorError as exc:
@@ -101,8 +104,8 @@ def tune(case: Case, runner):
 
 
 def assert_lockstep_matches_sequential(case: Case):
-    expected = tune(case, sequential_runner(case.simulate, case.stop))
-    assert tune(case, case.lockstep_runner()) == expected
+    expected = outcome(case.sequential_tune)
+    assert outcome(case.lockstep_tune) == expected
     return expected
 
 
@@ -195,7 +198,7 @@ class TestEdgeCases:
                             case.x0, case.stop, dominance=True)
         assert outcomes[0].iterations_to_target == 1
         assert outcomes[1:] == [None] * (len(case.grid) - 1)
-        result = grid_tune(case.lockstep_runner(), case.grid)
+        result = case.lockstep_tune()
         assert [p.iterations_to_target for p in result.points] == \
             [None] * (len(case.grid) - 1) + [1]
         assert all(math.isnan(p.final_error) for p in result.points[:-1])
@@ -239,9 +242,3 @@ class TestEdgeCases:
                             [ConstantStepsize(0.1)], case.x0, case.stop, master_seed=1)
         assert outcomes[0].iterations_to_target == step
         assert_lockstep_matches_sequential(case)
-
-    def test_runner_refuses_a_budget_it_did_not_apply(self):
-        case = straggler_case()
-        run = case.lockstep_runner()
-        with pytest.raises(RuntimeError, match="budget"):
-            run(max(case.grid), 5)
