@@ -34,14 +34,16 @@ in-flight job count per worker and the "client-sampling" stream.
                              or ``select(step, busy, rng)`` callback, which
                              may only pick idle workers.
 
-The whole run is one loop in ``_run``.  The fault hooks of
-``FaultInjection`` stay out of it: ``invert_ties`` fixes the sign of the
-heap's tie key before the first job, and ``delay_off_by_one`` adds one to
-the recorded delay column after the last event, so stepsizes still see
-the true delays.  ``run_grid`` is the same loop over a block of iterates,
-one row per stepsize, for grid tuning.  Both loops hand out jobs through
-``_job_queue`` and take their stop verdicts from one ``StopTracker`` per
-run or column, which ``StopRule.tracker`` builds.
+A run has two phases.  Phase 1, the ``Schedule``, owns everything the
+iterate cannot touch and writes the ``DelayLedger``.  Phase 2 consumes it:
+``_run`` for one stepsize, ``run_grid`` for a block of iterates with one row
+per stepsize.  Each keeps the in-flight job vectors by job id, draws noise
+at hand-out and takes its stop verdicts from one ``StopTracker`` per run or
+column.  The conservation fuzz in ``verify`` runs phase 1 alone: the code
+that writes every run's ledger.  The hooks of ``FaultInjection`` act in the
+schedule before the first job (``invert_ties`` sets the tie sign) and after
+the last (``delay_off_by_one`` shifts the recorded delays), so stepsizes see
+the true delays.
 """
 
 from __future__ import annotations
@@ -434,9 +436,7 @@ class RunTrace:
 
 
 # ---------------------------------------------------------------------------
-# the event loop
-
-# heap entries: (finish_time, tie_key, seq, worker_id, start_iteration, grad)
+# the two phases of a run
 
 
 def _window_mean(window) -> float:
@@ -471,147 +471,162 @@ def _start_point(objective, workers: Sequence[WorkerModel], x0: Array):
     return x, shifts
 
 
-def _job_queue(workers: Sequence[WorkerModel], noise: NoiseModel, dim: int, shifts,
-               master_seed: int, tie_sign: int):
-    """The in-flight heap of a run and ``assign(w, t, now, grad)``, which hands
-    worker ``w`` a job at iteration ``t`` and clock ``now``.
+class Schedule:
+    """Phase 1 of a run: the in-flight heap, the "delay-model" and
+    "client-sampling" streams, the policy and the schedule columns.
 
-    ``grad`` is the gradient at the current iterate: one vector, or one row
-    per column of a lockstep run.  Client ``w``'s shift and one noise draw
-    are added to every row.  Returns ``(heap, busy, samples, assign)``.
+    Iterating yields first the workers seeded before iteration 0, then per
+    applied job ``(job_id, worker, delay, handed)``, where ``handed`` are the
+    workers given a job once it is applied.  Job ids count hand-outs from 0.
+    Iterate it once: it stops where its consumer stops, and ``close`` then
+    gives the ledger.
     """
-    n = len(workers)
-    heap: list = []
-    free_at = [0.0] * n
-    busy = [0] * n
-    samples: dict[int, int] = {}
-    seq = itertools.count()
-    sample_time = [w.compute_time.sample for w in workers]
-    delay_rng = named_stream(master_seed, "delay-model")
+
+    def __init__(self, workers: Sequence[WorkerModel], policy, master_seed: int,
+                 faults: Optional[FaultInjection] = None):
+        self.workers, self.policy, self.master_seed = workers, policy, master_seed
+        self.faults = faults or FaultInjection()
+        self.heap = []  # (finish_time, tie_key, job_id, worker, start_iteration)
+        self.samples = {}  # jobs handed to each worker
+        # per applied job; n_assigned[t] jobs were handed out once t jobs had
+        # been applied, and concurrency_log[t] = |C_t| were then in flight
+        self.worker_ids, self.delays, self.finish_times = [], [], []
+        self.n_assigned, self.concurrency_log = [], []
+
+    def __iter__(self):
+        heap, samples, worker_ids, delays, finish_times, n_assigned, concurrency_log = (
+            self.heap, self.samples, self.worker_ids, self.delays, self.finish_times,
+            self.n_assigned, self.concurrency_log)
+        sample_time = [w.compute_time.sample for w in self.workers]
+        delay_rng = named_stream(self.master_seed, "delay-model")
+        client_rng = named_stream(self.master_seed, "client-sampling")
+        after = self.policy.after
+        tie_sign = -1 if self.faults.invert_ties else 1
+        free_at, busy = [0.0] * len(sample_time), [0] * len(sample_time)
+        next_id = t = 0
+        now = 0.0
+        handed = self.policy.start(len(sample_time), client_rng)
+        while True:
+            for w in handed:
+                start = max(now, free_at[w])
+                finish = start + sample_time[w](delay_rng)
+                if not start < finish < math.inf:
+                    raise InvalidConfigError(
+                        f"worker {w}: the job assigned at iteration {t} starts at {start!r} and "
+                        f"finishes at {finish!r}; a finish time must be finite and after its start")
+                free_at[w] = finish
+                heappush(heap, (finish, tie_sign * w, next_id, w, t))
+                next_id += 1
+                busy[w] += 1
+                samples[w] = samples.get(w, 0) + 1
+            n_assigned.append(len(handed))
+            concurrency_log.append(len(heap))
+            yield (job_id, worker, delay, handed) if t else handed
+            if not heap:
+                raise SimulationDeadlockError(
+                    f"no jobs in flight at iteration {t}; the policy starved the queue")
+            now, _, job_id, worker, start = heappop(heap)
+            busy[worker] -= 1
+            delay = t - start
+            worker_ids.append(worker)
+            delays.append(delay)
+            finish_times.append(now)
+            t += 1
+            handed = after(t, worker, busy, client_rng)
+
+    def close(self) -> DelayLedger:
+        """The ledger after the last applied job.  ``delay_off_by_one`` adds
+        one to the recorded delays here, so the iterate saw the true ones."""
+        if self.faults.delay_off_by_one:
+            self.delays = [d + 1 for d in self.delays]
+        remaining = sorted(self.heap)
+        return DelayLedger(
+            total_iterations=len(self.worker_ids),
+            applied_delays=self.delays,
+            applied_clients=self.worker_ids,
+            active_start_iterations=[entry[4] for entry in remaining],
+            active_clients=[entry[3] for entry in remaining],
+            concurrency_log=self.concurrency_log,
+            samples_per_client=dict(sorted(self.samples.items())),
+            excluded_active_index=0 if remaining else None,
+        )
+
+
+def _in_flight(noise: NoiseModel, n: int, dim: int, shifts, master_seed: int):
+    """The in-flight job vectors of a run by job id, and ``hand_out(handed, grad)``,
+    which files a job for each worker in ``handed`` under the next id: ``grad``
+    (one vector, or one row per column of a lockstep run) plus client ``w``'s
+    shift and one draw from worker ``w``'s noise stream."""
     noise_rngs = [named_stream(master_seed, f"noise-worker-{i}") for i in range(n)]
     noisy = noise.sigma > 0.0
+    jobs: dict[int, Array] = {}
+    ids = itertools.count()
 
-    def assign(w: int, t: int, now: float, grad: Array) -> None:
-        start = max(now, free_at[w])
-        finish = start + sample_time[w](delay_rng)
-        if not start < finish < math.inf:
-            raise InvalidConfigError(
-                f"worker {w}: the job assigned at iteration {t} starts at {start!r} and "
-                f"finishes at {finish!r}; a finish time must be finite and after its start"
-            )
-        free_at[w] = finish
-        job = grad if shifts is None else grad + shifts[w]
-        if noisy:
-            job = job + noise.sample(dim, noise_rngs[w])
-        heappush(heap, (finish, tie_sign * w, next(seq), w, t, job))
-        busy[w] += 1
-        samples[w] = samples.get(w, 0) + 1
+    def hand_out(handed, grad: Array) -> None:
+        for w in handed:
+            job = grad if shifts is None else grad + shifts[w]
+            if noisy:
+                job = job + noise.sample(dim, noise_rngs[w])
+            jobs[next(ids)] = job
 
-    return heap, busy, samples, assign
+    return jobs, hand_out
 
 
-def _run(
-    objective,
-    noise: NoiseModel,
-    workers: Sequence[WorkerModel],
-    policy,
-    stepsize,
-    x0: Array,
-    stop: StopRule,
-    master_seed: int,
-    record_iterates: bool,
-    faults: Optional[FaultInjection],
-) -> RunTrace:
+def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, stepsize,
+         x0: Array, stop: StopRule, master_seed: int, record_iterates: bool,
+         faults: Optional[FaultInjection]) -> RunTrace:
     x, shifts = _start_point(objective, workers, x0)
-    faults = faults or FaultInjection()
-    heap, busy, samples, assign = _job_queue(
-        workers, noise, x.shape[0], shifts, master_seed, -1 if faults.invert_ties else 1)
-    client_rng = named_stream(master_seed, "client-sampling")
+    schedule = Schedule(workers, policy, master_seed, faults)
+    jobs, hand_out = _in_flight(noise, len(workers), x.shape[0], shifts, master_seed)
 
     t = 0
-    sim_time = 0.0
     value, grad = objective.value_and_gradient(x)
     grad_norm = math.sqrt(float(np.dot(grad, grad)))
 
-    col_worker: list[int] = []
-    col_delay: list[int] = []
-    col_eta: list[float] = []
-    col_grad_norm: list[float] = []
-    col_value: list[float] = []
-    col_sim_time: list[float] = []
-    col_assigned: list[int] = []
-    # concurrency_log[t] is |C_t|, the trace's concurrency column before event t
-    concurrency_log: list[int] = []
+    col_eta, col_grad_norm, col_value = [], [], []  # the iterate columns of the trace
     iterates: Optional[list[Array]] = [x] if record_iterates else None
     tracker = stop.tracker(grad_norm)
 
     def quiescent(tol: float) -> bool:
-        return all(math.sqrt(float(np.dot(entry[-1], entry[-1]))) <= tol for entry in heap)
+        return all(math.sqrt(float(np.dot(job, job))) <= tol for job in jobs.values())
 
-    for w in policy.start(len(workers), client_rng):
-        assign(w, t, sim_time, grad)
-    concurrency_log.append(len(heap))
+    events = iter(schedule)
+    hand_out(next(events), grad)
 
-    verdict = None
-    while verdict is None:
-        if not heap:
-            raise SimulationDeadlockError(
-                f"no jobs in flight at iteration {t}; the policy starved the queue"
-            )
-        finish, _, _, worker, start, job = heappop(heap)
-        busy[worker] -= 1
-        delay = t - start
+    for job_id, worker, delay, handed in events:
         eta = stepsize.at(t, delay)
-        col_worker.append(worker)
-        col_delay.append(delay)
         col_eta.append(eta)
         col_grad_norm.append(grad_norm)
         col_value.append(value)
-        col_sim_time.append(finish)
 
-        sim_time = finish
-        x = x - eta * job
+        x = x - eta * jobs.pop(job_id)
         t += 1
         value, grad = objective.value_and_gradient(x)
         grad_norm = math.sqrt(float(np.dot(grad, grad)))
         if iterates is not None:
             iterates.append(x)
 
-        selection = policy.after(t, worker, busy, client_rng)
-        for w in selection:
-            assign(w, t, sim_time, grad)
-        col_assigned.append(len(selection))
-        concurrency_log.append(len(heap))
+        hand_out(handed, grad)
 
         verdict = tracker.check(t, value, grad_norm, quiescent)
+        if verdict is not None:
+            break
 
-    if faults.delay_off_by_one:
-        col_delay = [d + 1 for d in col_delay]
-    remaining = sorted(heap)
-    ledger = DelayLedger(
-        total_iterations=t,
-        applied_delays=col_delay,
-        applied_clients=col_worker,
-        active_start_iterations=[entry[4] for entry in remaining],
-        active_clients=[entry[3] for entry in remaining],
-        concurrency_log=concurrency_log,
-        samples_per_client=dict(sorted(samples.items())),
-        excluded_active_index=0 if remaining else None,
-    )
+    ledger = schedule.close()
     return RunTrace(
-        worker_ids=np.array(col_worker, dtype=int),
-        client_ids=np.array(col_worker, dtype=int),
-        delays=np.array(col_delay, dtype=int),
+        worker_ids=np.array(schedule.worker_ids, dtype=int),
+        client_ids=np.array(schedule.worker_ids, dtype=int),
+        delays=np.array(schedule.delays, dtype=int),
         stepsizes=np.array(col_eta, dtype=float),
         grad_norms=np.array(col_grad_norm, dtype=float),
         objective_values=np.array(col_value, dtype=float),
-        sim_times=np.array(col_sim_time, dtype=float),
-        n_assigned=np.array(col_assigned, dtype=int),
-        concurrency=np.array(concurrency_log[:-1], dtype=int),
+        sim_times=np.array(schedule.finish_times, dtype=float),
+        n_assigned=np.array(schedule.n_assigned[1:], dtype=int),
+        concurrency=np.array(schedule.concurrency_log[:-1], dtype=int),
         final_x=x,
         final_value=value,
         final_grad_norm=grad_norm,
-        total_sim_time=sim_time,
+        total_sim_time=schedule.finish_times[-1],
         stop_reason=verdict,
         converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
         diverged=verdict == "diverged",
@@ -638,12 +653,11 @@ def run_grid(
 ) -> list[Optional[TuneOutcome]]:
     """Run one stepsize rule per column in lockstep, over one shared schedule.
 
-    The schedule (heap, policy, delay, client and noise draws) does not
-    depend on the iterate, so it is drawn once; the iterate is a
-    (columns, dim) block and every in-flight job carries one gradient row
-    per running column.  Column k ends exactly as ``_run`` under
-    ``stepsizes[k]`` ends, bit for bit.  A column that stops leaves the
-    block and every in-flight job.
+    The ``Schedule`` and the noise draws do not depend on the iterate, so
+    they are drawn once; the iterate is a (columns, dim) block and every
+    in-flight job carries one gradient row per running column.  Column k
+    ends exactly as ``_run`` under ``stepsizes[k]`` ends, bit for bit.  A
+    column that stops leaves the block and every in-flight job.
 
     ``dominance`` applies ``grid_tune``'s ``min_T_to_eps`` budgets, with the
     columns in grid_tune's order (largest stepsize first): once column j
@@ -658,14 +672,12 @@ def run_grid(
     outcomes: list[Optional[TuneOutcome]] = [None] * len(stepsizes)
     if not stepsizes:
         return outcomes
-    heap, busy, _, assign = _job_queue(workers, noise, x.shape[0], shifts, master_seed, 1)
-    client_rng = named_stream(master_seed, "client-sampling")
+    jobs, hand_out = _in_flight(noise, len(workers), x.shape[0], shifts, master_seed)
 
     cols = list(range(len(stepsizes)))  # the column of each row of xs
     rules = list(stepsizes)
     xs = np.tile(x, (len(cols), 1))
     t = 0
-    sim_time = 0.0
     values, grads = objective.values_and_gradients(xs)
     norms = _row_norms(grads)
     trackers = [stop.tracker(norm) for norm in norms.tolist()]
@@ -682,34 +694,21 @@ def run_grid(
     row = 0  # the row whose verdict is being checked; quiescent() reads its jobs
 
     def quiescent(tol: float) -> bool:
-        for entry in heap:
-            job = entry[-1][row]
-            if not math.sqrt(float(np.dot(job, job))) <= tol:
-                return False
-        return True
+        return all(math.sqrt(float(np.dot(block[row], block[row]))) <= tol
+                   for block in jobs.values())
 
-    for w in policy.start(len(workers), client_rng):
-        assign(w, t, sim_time, grads)
+    events = iter(Schedule(workers, policy, master_seed))
+    hand_out(next(events), grads)
 
-    while True:
-        if not heap:
-            raise SimulationDeadlockError(
-                f"no jobs in flight at iteration {t}; the policy starved the queue"
-            )
-        finish, _, _, worker, start, job = heappop(heap)
-        busy[worker] -= 1
-        delay = t - start
+    for job_id, worker, delay, handed in events:
         etas = np.array([rule.at(t, delay) for rule in rules])
-
-        sim_time = finish
-        xs = xs - etas[:, None] * job
+        xs = xs - etas[:, None] * jobs.pop(job_id)
         t += 1
         values, grads = objective.values_and_gradients(xs)
         norms = _row_norms(grads)
         history[t % depth] = norms
 
-        for w in policy.after(t, worker, busy, client_rng):
-            assign(w, t, sim_time, grads)
+        hand_out(handed, grads)
 
         stopped: set[int] = set()
         for row, (tracker, value, norm) in enumerate(
@@ -735,7 +734,8 @@ def run_grid(
             trackers = [trackers[row] for row in keep]
             xs = xs[rows]
             history = history[:, rows]
-            heap[:] = [entry[:-1] + (entry[-1][rows],) for entry in heap]
+            for job_id, block in jobs.items():
+                jobs[job_id] = block[rows]
 
 
 def run_homogeneous(
@@ -753,10 +753,8 @@ def run_homogeneous(
     """Simulate a run where every worker shares one objective."""
     if isinstance(objective, HeterogeneousFamily):
         raise InvalidConfigError("use run_heterogeneous for client families")
-    return _run(
-        objective, noise, workers, policy, stepsize, x0, stop,
-        master_seed, record_iterates, faults,
-    )
+    return _run(objective, noise, workers, policy, stepsize, x0, stop,
+                master_seed, record_iterates, faults)
 
 
 def run_heterogeneous(
@@ -775,7 +773,5 @@ def run_heterogeneous(
     if not isinstance(family, HeterogeneousFamily):
         raise InvalidConfigError("run_heterogeneous expects a HeterogeneousFamily")
     policy = UniformClientSampling(concurrency)
-    return _run(
-        family, noise, workers, policy, stepsize, x0, stop,
-        master_seed, record_iterates, faults,
-    )
+    return _run(family, noise, workers, policy, stepsize, x0, stop,
+                master_seed, record_iterates, faults)

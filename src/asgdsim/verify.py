@@ -9,6 +9,7 @@ they claim to catch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,12 +19,13 @@ import numpy as np
 from . import speedup as sp
 from .engine import (
     ConstantTime,
+    CustomSelection,
     FaultInjection,
     LogNormalTime,
     MaxConcurrency,
     MiniBatch,
-    RunTrace,
     SampledMiniBatch,
+    Schedule,
     StopRule,
     StragglerTime,
     UniformClientSampling,
@@ -32,7 +34,7 @@ from .engine import (
     run_heterogeneous,
     run_homogeneous,
 )
-from .metrics import delay_conservation
+from .metrics import DelayLedger, delay_conservation
 from .objectives import (
     NoiseModel,
     finite_difference_gradient,
@@ -91,9 +93,10 @@ def direct_minibatch_sgd(
 # fuzzing
 
 
-def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
-               faults: Optional[FaultInjection] = None) -> RunTrace:
-    """One randomly-configured run, used to fuzz the bookkeeping identities."""
+def random_config(rng: np.random.Generator, max_iterations: int = 10**4):
+    """One random run of the fuzz's space: ``(workers, policy, objective_seed,
+    sigma, cap, master_seed)``, for a dim-2 quadratic of ``objective_seed``
+    under noise ``sigma`` and stepsize 1e-3 from the origin."""
     n = int(rng.integers(1, 17))
     workers = []
     for w in range(n):
@@ -103,10 +106,8 @@ def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
         elif kind == 1:
             model = LogNormalTime(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.1, 0.8)))
         else:
-            model = StragglerTime(
-                float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 10.0)),
-                float(rng.uniform(0.0, 0.3)),
-            )
+            model = StragglerTime(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 10.0)),
+                                  float(rng.uniform(0.0, 0.3)))
         workers.append(WorkerModel(w, model))
 
     roll = int(rng.integers(0, 5))
@@ -119,8 +120,6 @@ def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
     elif roll == 3:
         policy = UniformClientSampling(concurrency=int(rng.integers(1, 2 * n + 1)))
     else:
-        from .engine import CustomSelection
-
         def pick_idle(step: int, busy: tuple[int, ...], client_rng) -> list[int]:
             idle = [w for w, jobs in enumerate(busy) if jobs == 0]
             if not idle:
@@ -130,20 +129,24 @@ def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
 
         policy = CustomSelection(select=pick_idle)
 
-    objective = make_quadratic(2, 0.5, 2.0, seed=int(rng.integers(0, 2**31)))
+    objective_seed = int(rng.integers(0, 2**31))
     sigma = float(rng.choice([0.0, 0.1]))
     t_max = int(10 ** rng.uniform(0.5, math.log10(max_iterations)))
-    return run_homogeneous(
-        objective,
-        NoiseModel(sigma),
-        workers,
-        policy,
-        ConstantStepsize(1e-3),
-        np.zeros(2),
-        StopRule(max_iterations=max(1, t_max)),
-        master_seed=int(rng.integers(0, 2**31)),
-        faults=faults,
-    )
+    return workers, policy, objective_seed, sigma, max(1, t_max), int(rng.integers(0, 2**31))
+
+
+def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
+               faults: Optional[FaultInjection] = None) -> DelayLedger:
+    """The delay ledger of one ``random_config`` run, from its schedule alone.
+
+    The schedule never reads the iterate and the fuzz's runs end at their
+    caps, so the objective and the noise cannot change the ledger.
+    """
+    workers, policy, _, _, cap, master_seed = random_config(rng, max_iterations)
+    schedule = Schedule(workers, policy, master_seed, faults)
+    for _ in itertools.islice(schedule, cap + 1):  # the seeded jobs, then cap events
+        pass
+    return schedule.close()
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +225,7 @@ def check_delay_conservation_fuzz(
     failures = 0
     first = ""
     for i in range(n_configs):
-        trace = random_run(rng, max_iterations=max_iterations, faults=faults)
-        check = delay_conservation(trace.ledger)
+        check = delay_conservation(random_run(rng, max_iterations, faults))
         if not check.passed:
             failures += 1
             if not first:

@@ -59,8 +59,7 @@ def test_01_delay_conservation_exact_on_fuzzed_runs():
     rng = np.random.default_rng(20260816)
     checked = 0
     for _ in range(1000):
-        trace = random_run(rng)
-        check = metrics.delay_conservation(trace.ledger)
+        check = metrics.delay_conservation(random_run(rng))
         assert isinstance(check.lhs, int) and isinstance(check.rhs, int)
         assert check.lhs == check.rhs, (
             f"conservation broke on run {checked}: {check.lhs} != {check.rhs}")

@@ -43,6 +43,7 @@ from asgdsim import (
 from asgdsim.cli import tune
 from asgdsim.engine import _window_mean, run_grid
 from asgdsim.objectives import HeterogeneousFamily
+from reference_engine import _run as reference_run
 
 
 @dataclasses.dataclass
@@ -164,6 +165,30 @@ def random_case(seed: int) -> Case:
 @pytest.mark.parametrize("seed", range(90))
 def test_lockstep_tuning_matches_sequential_oracle(seed):
     assert_lockstep_matches_sequential(random_case(seed))
+
+
+def reference_outcome(case: Case, rule) -> TuneOutcome:
+    """What one grid column must report: its full run through the engine that
+    predates the schedule/iterate split."""
+    trace = reference_run(case.objective, case.noise, case.workers, case.policy, rule, case.x0,
+                          case.stop, case.seed, False, None)
+    return TuneOutcome(len(trace) if trace.converged and case.stop.has_target else None,
+                       last_k_error(trace, warn_short=False), trace.diverged)
+
+
+@pytest.mark.parametrize("seed", range(0, 90, 6))
+def test_lockstep_columns_match_the_reference_engine(seed):
+    case = random_case(seed)
+    rules = [case.make_stepsize(eta) for eta in case.grid]
+
+    def columns():
+        return run_grid(case.objective, case.noise, case.workers, case.policy, rules,
+                        case.x0, case.stop, master_seed=case.seed)
+
+    def sequential():
+        return [reference_outcome(case, rule) for rule in rules]
+
+    assert outcome(columns) == outcome(sequential)
 
 
 QUAD = make_quadratic(4, 1.0, 2.0, seed=7)

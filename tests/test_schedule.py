@@ -1,0 +1,223 @@
+"""The schedule/iterate split of the engine.
+
+``reference_engine._run`` is the single event loop that the split replaced;
+every run must reproduce it bit for bit, over the conservation fuzz's config
+space and over the noisy, heterogeneous and target- or stall-stopped runs
+that the fuzz never reaches.  ``merged_order`` is an exact oracle that shares
+no engine code: under ``MaxConcurrency`` on a constant fleet, worker i
+finishes its k-th job at k * delta_i, so the applied order is the merge of
+those progressions.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from reference_engine import _run as reference_run
+
+from asgdsim import (
+    ConstantStepsize,
+    DelayAdaptiveStepsize,
+    FaultInjection,
+    MaxConcurrency,
+    NoiseModel,
+    StopRule,
+    UniformClientSampling,
+    constant_fleet,
+    make_heterogeneous,
+    make_logistic,
+    make_quadratic,
+    run_heterogeneous,
+    run_homogeneous,
+)
+from asgdsim.engine import Schedule
+from asgdsim.metrics import delay_conservation
+from asgdsim.objectives import HeterogeneousFamily
+from asgdsim.verify import check_delay_conservation_fuzz, random_config, random_run
+
+ARRAYS = ("worker_ids", "client_ids", "delays", "stepsizes", "grad_norms",
+          "objective_values", "sim_times", "n_assigned", "concurrency", "final_x")
+SCALARS = ("final_value", "final_grad_norm", "total_sim_time")
+FLAGS = ("stop_reason", "converged", "diverged")
+
+
+def assert_bitwise_equal(trace, ref):
+    for name in ARRAYS:
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for name in SCALARS:
+        assert np.float64(getattr(trace, name)).tobytes() == \
+            np.float64(getattr(ref, name)).tobytes(), name
+    for name in FLAGS:
+        assert getattr(trace, name) == getattr(ref, name), name
+    assert trace.ledger == ref.ledger
+    assert (trace.iterates is None) == (ref.iterates is None)
+    if ref.iterates is not None:
+        assert np.array_equal(np.array(trace.iterates), np.array(ref.iterates))
+
+
+def fuzz_runs(config):
+    """The run that ``random_run`` stands for, through the engine and the reference."""
+    workers, policy, objective_seed, sigma, cap, master_seed = config
+    args = (make_quadratic(2, 0.5, 2.0, seed=objective_seed), NoiseModel(sigma), workers,
+            policy, ConstantStepsize(1e-3), np.zeros(2), StopRule(max_iterations=cap))
+    return (run_homogeneous(*args, master_seed=master_seed),
+            reference_run(*args, master_seed, False, None))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fuzz_configs_match_the_reference_engine(seed):
+    trace, ref = fuzz_runs(random_config(np.random.default_rng(seed), max_iterations=2000))
+    assert_bitwise_equal(trace, ref)
+    assert trace.stop_reason == "cap"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_the_schedule_alone_gives_the_run_ledger(seed):
+    ledger = random_run(np.random.default_rng(seed), max_iterations=2000)
+    trace, _ = fuzz_runs(random_config(np.random.default_rng(seed), max_iterations=2000))
+    assert ledger == trace.ledger
+    assert delay_conservation(ledger).passed
+
+
+def rich_case(seed: int):
+    """A run the fuzz never makes: noisy, heterogeneous, delay-adaptive,
+    stopped by a target, a stall or divergence, with fault hooks."""
+    rng = np.random.default_rng(seed)
+    workers, policy, objective_seed, _, _, master_seed = random_config(rng, 10)
+    dim = int(rng.integers(2, 6))
+    if seed % 3 == 1:
+        objective = make_logistic(20, dim, objective_seed)
+    else:
+        objective = make_quadratic(dim, 0.5, float(rng.uniform(1.0, 4.0)), objective_seed)
+    if seed % 3 == 2:
+        objective = make_heterogeneous(objective, len(workers), float(rng.uniform(0, 1)), seed)
+        policy = UniformClientSampling(int(rng.integers(1, 2 * len(workers) + 1)))
+    target = int(rng.integers(4))  # none, grad_tol, last_k_tol, both
+    last_k_tol = float(10 ** rng.uniform(-3, 0)) if target >= 2 else None
+    stop = StopRule(
+        max_iterations=int(rng.integers(30, 600)),
+        grad_tol=float(10 ** rng.uniform(-3, 0)) if target in (1, 3) else None,
+        last_k_tol=last_k_tol, last_k=int(rng.integers(1, 30)),
+        diverge_above=float(rng.choice([1e100, 1e4])),
+        require_quiescent=bool(rng.random() < 0.4),
+        stall_window=int(rng.integers(5, 50)) if last_k_tol and rng.random() < 0.5 else None,
+        stall_improvement=float(rng.choice([1e-3, 0.2])),
+    )
+    eta = float(10 ** rng.uniform(-2.5, 0.5))
+    if rng.random() < 0.5:
+        stepsize = ConstantStepsize(eta)
+    else:
+        stepsize = DelayAdaptiveStepsize(eta, objective.smoothness, int(rng.integers(1, 4)),
+                                         ["scale", "drop"][int(rng.integers(2))])
+    faults = FaultInjection(invert_ties=bool(rng.random() < 0.2),
+                            delay_off_by_one=bool(rng.random() < 0.2))
+    return (objective, NoiseModel(float(rng.choice([0.0, 0.05, 0.5]))), workers, policy,
+            stepsize, rng.standard_normal(dim), stop, master_seed,
+            bool(rng.random() < 0.3), faults)
+
+
+def test_noisy_heterogeneous_and_target_stopped_runs_match_the_reference_engine():
+    reasons = set()
+    quiescent_targets = noisy = heterogeneous = 0
+    for seed in range(150):
+        case = rich_case(seed)
+        objective, noise, workers, policy, stepsize, x0, stop, master_seed, record, faults = case
+        if isinstance(objective, HeterogeneousFamily):
+            trace = run_heterogeneous(objective, noise, workers, policy.concurrency, stepsize,
+                                      x0, stop, master_seed, record, faults)
+            heterogeneous += 1
+        else:
+            trace = run_homogeneous(*case)
+        assert_bitwise_equal(trace, reference_run(*case))
+        reasons.add(trace.stop_reason)
+        quiescent_targets += stop.require_quiescent and trace.stop_reason == "target"
+        noisy += noise.sigma > 0
+    assert reasons == {"target", "stalled", "diverged", "cap"}
+    assert quiescent_targets and noisy and heterogeneous
+
+
+def merged_order(deltas, steps: int, tie_sign: int = 1):
+    """Worker, delay and finish time of the first ``steps`` applied jobs under
+    ``MaxConcurrency`` on constant times ``deltas``: the progressions
+    k * delta_i merged by (time, tie_sign * worker)."""
+    k = np.arange(1, steps + 1)
+    times = np.concatenate([k * d for d in deltas])
+    owners = np.repeat(np.arange(len(deltas)), steps)
+    order = np.lexsort((tie_sign * owners, times))[:steps]
+    applied_at: dict[int, int] = {}  # worker -> iteration its last job was applied
+    delays = []
+    for t, w in enumerate(owners[order].tolist()):
+        # the next job of w was handed out right after its previous one was applied
+        delays.append(t - (applied_at.get(w, -1) + 1))
+        applied_at[w] = t
+    return owners[order].tolist(), delays, times[order].tolist()
+
+
+def drive(workers, policy, events: int, faults=None, master_seed: int = 0):
+    """The schedule alone, run for ``events`` applied jobs, and its ledger."""
+    schedule = Schedule(workers, policy, master_seed, faults)
+    for _ in itertools.islice(schedule, events + 1):
+        pass
+    return schedule, schedule.close()
+
+
+# dyadic compute times, so k * delta and the engine's running sums agree exactly;
+# equal deltas and common multiples make ties at almost every step
+FLEETS = [
+    [1.0, 1.0, 1.0],
+    [1.0, 2.0, 2.0, 4.0],
+    [0.5, 1.5, 1.5, 3.0, 0.75],
+    [2.0, 1.0, 2.0, 1.0, 3.0, 6.0],
+    [7.0],
+    [0.25, 4.0, 4.0, 4.0, 1.25, 2.5, 2.5, 0.25],
+]
+
+
+@pytest.mark.parametrize("deltas", FLEETS, ids=str)
+@pytest.mark.parametrize("invert", [False, True], ids=["ties", "inverted-ties"])
+def test_max_concurrency_applies_the_merged_progressions(deltas, invert):
+    steps = 200
+    workers, want_delays, want_times = merged_order(deltas, steps, -1 if invert else 1)
+    faults = FaultInjection(invert_ties=invert)
+    trace = run_homogeneous(make_quadratic(2, 1.0, 2.0, seed=1), NoiseModel(0.0),
+                            constant_fleet(deltas), MaxConcurrency(), ConstantStepsize(0.01),
+                            np.zeros(2), StopRule(max_iterations=steps), faults=faults)
+    assert trace.worker_ids.tolist() == workers
+    assert trace.delays.tolist() == want_delays
+    assert trace.sim_times.tolist() == want_times
+    schedule, ledger = drive(constant_fleet(deltas), MaxConcurrency(), steps, faults)
+    assert (ledger.applied_clients, ledger.applied_delays) == (workers, want_delays)
+    assert schedule.finish_times == want_times
+    assert delay_conservation(ledger).passed
+
+
+def test_the_oracle_sees_ties_between_equal_deltas():
+    workers, _, times = merged_order([1.0, 1.0, 2.0], 6)
+    assert workers[:3] == [0, 1, 0] and times[:3] == [1.0, 1.0, 2.0]
+    assert merged_order([1.0, 1.0, 2.0], 6, -1)[0][:3] == [1, 0, 2]
+
+
+def test_invert_ties_reaches_the_schedule_alone():
+    fleet = constant_fleet([1.0, 1.0, 2.0, 2.0])
+    _, plain = drive(fleet, MaxConcurrency(), 40)
+    _, inverted = drive(fleet, MaxConcurrency(), 40, FaultInjection(invert_ties=True))
+    assert plain.applied_clients != inverted.applied_clients
+    assert delay_conservation(plain).passed and delay_conservation(inverted).passed
+
+
+def test_delay_off_by_one_reaches_the_fuzz():
+    result = check_delay_conservation_fuzz(n_configs=5,
+                                           faults=FaultInjection(delay_off_by_one=True))
+    assert not result.passed
+    _, ledger = drive(constant_fleet([1.0, 3.0]), MaxConcurrency(), 10,
+                      FaultInjection(delay_off_by_one=True))
+    _, clean = drive(constant_fleet([1.0, 3.0]), MaxConcurrency(), 10)
+    assert ledger.applied_delays == [d + 1 for d in clean.applied_delays]
+
+
+def test_the_schedule_stops_where_its_consumer_stops():
+    schedule, ledger = drive(constant_fleet([1.0, 2.0]), MaxConcurrency(), 7)
+    assert ledger.total_iterations == 7 == len(schedule.finish_times)
+    assert len(ledger.concurrency_log) == 8 == len(schedule.n_assigned)
