@@ -5,8 +5,8 @@
 Each entry of the table ``tests/mutants.json`` names a file, an exact anchor text in it, the text
 that replaces the anchor and the tests that must catch the change.  For each
 mutant (all of them, or the ids given), the script copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
-mutant there and runs only its tests.  The mutant is "killed" when every
+``tests/``, ``configs/`` and ``pyproject.toml`` to a temporary directory,
+applies the mutant there and runs only its tests.  The mutant is "killed" when every
 named test fails (a test id without parameters stands for all of its
 cases, and at least one must fail) and "survived" otherwise.  An anchor
 that does not occur exactly once is an error, so a refactor has to carry
@@ -28,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "mutants.json"
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "pyproject.toml")
 TIMEOUT_S = 900  # for one mutant's tests; the slowest entry takes a few seconds
 
 

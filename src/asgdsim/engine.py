@@ -30,9 +30,9 @@ in-flight job count per worker and the "client-sampling" stream.
 * ``UniformClientSampling``  ``concurrency`` uniform draws at the start, then
                              one per applied gradient; busy clients simply
                              accumulate queued jobs.
-* ``CustomSelection``        seed every worker; then a caller-provided table
-                             or ``select(step, busy, rng)`` callback, which
-                             may only pick idle workers.
+* ``CustomSelection``        seed every worker; then a caller-provided
+                             ``select(step, busy, rng)`` callback, which may
+                             only pick idle workers.
 
 A run has two phases.  Phase 1, the ``Schedule``, owns everything the
 iterate cannot touch and writes the ``DelayLedger``.  Phase 2 consumes it:
@@ -40,10 +40,7 @@ iterate cannot touch and writes the ``DelayLedger``.  Phase 2 consumes it:
 per stepsize.  Each keeps the in-flight job vectors by job id, draws noise
 at hand-out and takes its stop verdicts from one ``StopTracker`` per run or
 column.  The conservation fuzz in ``verify`` runs phase 1 alone: the code
-that writes every run's ledger.  The hooks of ``FaultInjection`` act in the
-schedule before the first job (``invert_ties`` sets the tie sign) and after
-the last (``delay_off_by_one`` shifts the recorded delays), so stepsizes see
-the true delays.
+that writes every run's ledger.
 """
 
 from __future__ import annotations
@@ -212,30 +209,21 @@ class UniformClientSampling:
 class CustomSelection:
     """Assignments supplied by the caller; every worker is seeded before iteration 0.
 
-    Exactly one of ``table`` (list indexed by applied step, exhausted steps
-    assign nothing) or ``select`` (callback ``(step, busy, rng) -> worker
-    ids``, where ``busy`` is a tuple of in-flight job counts per worker and
-    ``rng`` the client-sampling stream) must be given.  Selecting a worker
-    twice, an unknown worker or a busy one raises ``InvalidSelectionError``.
+    ``select(step, busy, rng)`` returns the worker ids handed a job once
+    ``step`` + 1 gradients have been applied, where ``busy`` is a tuple of
+    in-flight job counts per worker and ``rng`` the client-sampling stream.
+    Selecting a worker twice, an unknown worker or a busy one raises
+    ``InvalidSelectionError``.
     """
 
-    table: Optional[Sequence[Sequence[int]]] = None
-    select: Optional[Callable[[int, tuple[int, ...], np.random.Generator], Sequence[int]]] = None
-
-    def __post_init__(self):
-        if (self.table is None) == (self.select is None):
-            raise InvalidConfigError("custom policy needs exactly one of table or select")
+    select: Callable[[int, tuple[int, ...], np.random.Generator], Sequence[int]]
 
     def start(self, n: int, rng) -> Sequence[int]:
         return range(n)
 
     def after(self, t: int, worker: int, busy: list[int], rng) -> Sequence[int]:
         step = t - 1
-        if self.table is not None:
-            chosen = self.table[step] if step < len(self.table) else ()
-        else:
-            chosen = self.select(step, tuple(busy), rng)
-        chosen = sorted(int(w) for w in chosen)
+        chosen = sorted(int(w) for w in self.select(step, tuple(busy), rng))
         if len(set(chosen)) != len(chosen):
             raise InvalidSelectionError(f"duplicate workers selected at step {step}")
         for w in chosen:
@@ -249,7 +237,7 @@ class CustomSelection:
 
 
 # ---------------------------------------------------------------------------
-# stop rules and fault hooks
+# stop rules
 
 
 @dataclass(frozen=True)
@@ -369,14 +357,6 @@ class StopTracker:
         return None
 
 
-@dataclass(frozen=True)
-class FaultInjection:
-    """Deliberate corruption hooks used by the verification suite's mutation tests."""
-
-    invert_ties: bool = False
-    delay_off_by_one: bool = False
-
-
 # ---------------------------------------------------------------------------
 # trace
 
@@ -409,7 +389,6 @@ class RunTrace:
     converged: bool
     diverged: bool
     ledger: DelayLedger
-    iterates: Optional[list[Array]] = None
 
     def __len__(self) -> int:
         return self.worker_ids.shape[0]
@@ -482,10 +461,8 @@ class Schedule:
     gives the ledger.
     """
 
-    def __init__(self, workers: Sequence[WorkerModel], policy, master_seed: int,
-                 faults: Optional[FaultInjection] = None):
+    def __init__(self, workers: Sequence[WorkerModel], policy, master_seed: int):
         self.workers, self.policy, self.master_seed = workers, policy, master_seed
-        self.faults = faults or FaultInjection()
         self.heap = []  # (finish_time, tie_key, job_id, worker, start_iteration)
         self.samples = {}  # jobs handed to each worker
         # per applied job; n_assigned[t] jobs were handed out once t jobs had
@@ -501,7 +478,6 @@ class Schedule:
         delay_rng = named_stream(self.master_seed, "delay-model")
         client_rng = named_stream(self.master_seed, "client-sampling")
         after = self.policy.after
-        tie_sign = -1 if self.faults.invert_ties else 1
         free_at, busy = [0.0] * len(sample_time), [0] * len(sample_time)
         next_id = t = 0
         now = 0.0
@@ -515,7 +491,7 @@ class Schedule:
                         f"worker {w}: the job assigned at iteration {t} starts at {start!r} and "
                         f"finishes at {finish!r}; a finish time must be finite and after its start")
                 free_at[w] = finish
-                heappush(heap, (finish, tie_sign * w, next_id, w, t))
+                heappush(heap, (finish, w, next_id, w, t))
                 next_id += 1
                 busy[w] += 1
                 samples[w] = samples.get(w, 0) + 1
@@ -535,10 +511,7 @@ class Schedule:
             handed = after(t, worker, busy, client_rng)
 
     def close(self) -> DelayLedger:
-        """The ledger after the last applied job.  ``delay_off_by_one`` adds
-        one to the recorded delays here, so the iterate saw the true ones."""
-        if self.faults.delay_off_by_one:
-            self.delays = [d + 1 for d in self.delays]
+        """The ledger after the last applied job."""
         remaining = sorted(self.heap)
         return DelayLedger(
             total_iterations=len(self.worker_ids),
@@ -573,10 +546,9 @@ def _in_flight(noise: NoiseModel, n: int, dim: int, shifts, master_seed: int):
 
 
 def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, stepsize,
-         x0: Array, stop: StopRule, master_seed: int, record_iterates: bool,
-         faults: Optional[FaultInjection]) -> RunTrace:
+         x0: Array, stop: StopRule, master_seed: int) -> RunTrace:
     x, shifts = _start_point(objective, workers, x0)
-    schedule = Schedule(workers, policy, master_seed, faults)
+    schedule = Schedule(workers, policy, master_seed)
     jobs, hand_out = _in_flight(noise, len(workers), x.shape[0], shifts, master_seed)
 
     t = 0
@@ -584,7 +556,6 @@ def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, s
     grad_norm = math.sqrt(float(np.dot(grad, grad)))
 
     col_eta, col_grad_norm, col_value = [], [], []  # the iterate columns of the trace
-    iterates: Optional[list[Array]] = [x] if record_iterates else None
     tracker = stop.tracker(grad_norm)
 
     def quiescent(tol: float) -> bool:
@@ -603,8 +574,6 @@ def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, s
         t += 1
         value, grad = objective.value_and_gradient(x)
         grad_norm = math.sqrt(float(np.dot(grad, grad)))
-        if iterates is not None:
-            iterates.append(x)
 
         hand_out(handed, grad)
 
@@ -612,7 +581,6 @@ def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, s
         if verdict is not None:
             break
 
-    ledger = schedule.close()
     return RunTrace(
         worker_ids=np.array(schedule.worker_ids, dtype=int),
         client_ids=np.array(schedule.worker_ids, dtype=int),
@@ -630,8 +598,7 @@ def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, s
         stop_reason=verdict,
         converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
         diverged=verdict == "diverged",
-        ledger=ledger,
-        iterates=iterates,
+        ledger=schedule.close(),
     )
 
 
@@ -747,14 +714,11 @@ def run_homogeneous(
     x0: Array,
     stop: StopRule,
     master_seed: int = 0,
-    record_iterates: bool = False,
-    faults: Optional[FaultInjection] = None,
 ) -> RunTrace:
     """Simulate a run where every worker shares one objective."""
     if isinstance(objective, HeterogeneousFamily):
         raise InvalidConfigError("use run_heterogeneous for client families")
-    return _run(objective, noise, workers, policy, stepsize, x0, stop,
-                master_seed, record_iterates, faults)
+    return _run(objective, noise, workers, policy, stepsize, x0, stop, master_seed)
 
 
 def run_heterogeneous(
@@ -766,12 +730,9 @@ def run_heterogeneous(
     x0: Array,
     stop: StopRule,
     master_seed: int = 0,
-    record_iterates: bool = False,
-    faults: Optional[FaultInjection] = None,
 ) -> RunTrace:
     """Simulate uniform client sampling over a family of client objectives."""
     if not isinstance(family, HeterogeneousFamily):
         raise InvalidConfigError("run_heterogeneous expects a HeterogeneousFamily")
     policy = UniformClientSampling(concurrency)
-    return _run(family, noise, workers, policy, stepsize, x0, stop,
-                master_seed, record_iterates, faults)
+    return _run(family, noise, workers, policy, stepsize, x0, stop, master_seed)

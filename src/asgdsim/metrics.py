@@ -170,22 +170,20 @@ def grad_norm_sequence(trace) -> np.ndarray:
 ERROR_WINDOW = 30  # last_k_error's default k: the final error that tuning compares
 
 
-def last_k_error(trace, k: int = ERROR_WINDOW, warn_short: bool = True) -> float:
+def last_k_error(trace, k: int = ERROR_WINDOW) -> float:
     """Mean of the last ``k`` gradient norms along the iterate sequence.
 
-    Falls back to the whole sequence when fewer than ``k`` iterates exist,
-    warning unless ``warn_short`` is switched off (tuning sweeps cut runs
-    short on purpose).
+    Falls back to the whole sequence, with a warning, when fewer than ``k``
+    iterates exist.
     """
     norms = grad_norm_sequence(trace)
     if k < 1:
         raise UndefinedStatisticError("k must be at least 1")
     if norms.shape[0] < k:
-        if warn_short:
-            warnings.warn(
-                f"trace has only {norms.shape[0]} iterates, averaging all of them instead of {k}",
-                stacklevel=2,
-            )
+        warnings.warn(
+            f"trace has only {norms.shape[0]} iterates, averaging all of them instead of {k}",
+            stacklevel=2,
+        )
         return float(norms.mean())
     return float(norms[-k:].mean())
 
@@ -216,7 +214,7 @@ def _finite_or_none(value) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def summary(trace, last_k: int = 30) -> dict:
+def summary(trace) -> dict:
     """JSON-ready summary of a run: delay statistics, conservation check, errors.
 
     Non-finite floats (a diverged run's norms, an overflowed clock) become ``None``.
@@ -231,7 +229,7 @@ def summary(trace, last_k: int = 30) -> dict:
         "stop_reason": trace.stop_reason,
         "final_grad_norm": _finite_or_none(trace.final_grad_norm),
         "final_objective_value": _finite_or_none(trace.final_value),
-        "error_last30": _finite_or_none(last_k_error(trace, last_k)),
+        "error_last30": _finite_or_none(last_k_error(trace)),
         "tau_avg": float(avg),
         "tau_avg_exact": f"{avg.numerator}/{avg.denominator}",
         "tau_max": max_delay(ledger),

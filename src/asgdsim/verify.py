@@ -2,9 +2,7 @@
 
 Each check pits the simulator against an independent oracle (finite
 differences, a straight-line minibatch loop, exhaustive enumeration, exact
-integer identities) and reports a ``CheckResult``.  The fault-injection
-parameters exist so tests can confirm the checks actually catch the bugs
-they claim to catch.
+integer identities) and reports a ``CheckResult``.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,7 +17,6 @@ from . import speedup as sp
 from .engine import (
     ConstantTime,
     CustomSelection,
-    FaultInjection,
     LogNormalTime,
     MaxConcurrency,
     MiniBatch,
@@ -135,15 +131,14 @@ def random_config(rng: np.random.Generator, max_iterations: int = 10**4):
     return workers, policy, objective_seed, sigma, max(1, t_max), int(rng.integers(0, 2**31))
 
 
-def random_run(rng: np.random.Generator, max_iterations: int = 10**4,
-               faults: Optional[FaultInjection] = None) -> DelayLedger:
+def random_run(rng: np.random.Generator, max_iterations: int = 10**4) -> DelayLedger:
     """The delay ledger of one ``random_config`` run, from its schedule alone.
 
     The schedule never reads the iterate and the fuzz's runs end at their
     caps, so the objective and the noise cannot change the ledger.
     """
     workers, policy, _, _, cap, master_seed = random_config(rng, max_iterations)
-    schedule = Schedule(workers, policy, master_seed, faults)
+    schedule = Schedule(workers, policy, master_seed)
     for _ in itertools.islice(schedule, cap + 1):  # the seeded jobs, then cap events
         pass
     return schedule.close()
@@ -219,13 +214,12 @@ def check_delay_conservation_fuzz(
     n_configs: int = 300,
     seed: int = 20260816,
     max_iterations: int = 10**4,
-    faults: Optional[FaultInjection] = None,
 ) -> CheckResult:
     rng = np.random.default_rng(seed)
     failures = 0
     first = ""
     for i in range(n_configs):
-        check = delay_conservation(random_run(rng, max_iterations, faults))
+        check = delay_conservation(random_run(rng, max_iterations))
         if not check.passed:
             failures += 1
             if not first:
@@ -305,25 +299,25 @@ def check_speedup_oracle(seed: int = 19, enum_cases: int = 25, mc_cases: int = 2
     )
 
 
-def check_determinism(seed: int = 23, faults_for_second: Optional[FaultInjection] = None) -> CheckResult:
+def check_determinism(seed: int = 23) -> CheckResult:
     objective = make_quadratic(4, 1.0, 2.0, seed=seed)
     family = make_heterogeneous(objective, 3, 1.0, seed=seed + 1)
 
-    def run_once(faults):
+    def run_once():
         homo = run_homogeneous(
             objective, NoiseModel(0.2), constant_fleet([1.0, 2.0, 3.0]), MaxConcurrency(),
             ConstantStepsize(0.05), np.zeros(4), StopRule(max_iterations=400),
-            master_seed=seed, faults=faults,
+            master_seed=seed,
         )
         hetero = run_heterogeneous(
             family, NoiseModel(0.1), constant_fleet([1.0, 1.5, 2.5]), 2,
             ConstantStepsize(0.05), np.zeros(4), StopRule(max_iterations=400),
-            master_seed=seed, faults=faults,
+            master_seed=seed,
         )
         return homo, hetero
 
-    first = run_once(None)
-    second = run_once(faults_for_second)
+    first = run_once()
+    second = run_once()
     for a, b in zip(first, second):
         same = (
             np.array_equal(a.worker_ids, b.worker_ids)

@@ -1,8 +1,9 @@
 """The event loop as it was before the schedule/iterate split: the oracle
 that ``engine._run`` must reproduce bit for bit.
 
-``_job_queue`` and ``_run`` are kept verbatim; only the imports are new.
-Nothing in ``src`` calls this module.
+``_job_queue`` and ``_run`` are kept verbatim, except that the fault hooks
+(tie inversion, off-by-one delays) and the recorded iterates are gone with
+the run API's parameters for them.  Nothing in ``src`` calls this module.
 """
 
 from __future__ import annotations
@@ -10,17 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from asgdsim.engine import (
-    FaultInjection,
-    RunTrace,
-    StopRule,
-    WorkerModel,
-    _start_point,
-)
+from asgdsim.engine import RunTrace, StopRule, WorkerModel, _start_point
 from asgdsim.errors import InvalidConfigError, SimulationDeadlockError
 from asgdsim.metrics import DelayLedger
 from asgdsim.objectives import NoiseModel
@@ -30,7 +25,7 @@ Array = np.ndarray
 
 
 def _job_queue(workers: Sequence[WorkerModel], noise: NoiseModel, dim: int, shifts,
-               master_seed: int, tie_sign: int):
+               master_seed: int):
     """The in-flight heap of a run and ``assign(w, t, now, grad)``, which hands
     worker ``w`` a job at iteration ``t`` and clock ``now``.
 
@@ -61,7 +56,7 @@ def _job_queue(workers: Sequence[WorkerModel], noise: NoiseModel, dim: int, shif
         job = grad if shifts is None else grad + shifts[w]
         if noisy:
             job = job + noise.sample(dim, noise_rngs[w])
-        heappush(heap, (finish, tie_sign * w, next(seq), w, t, job))
+        heappush(heap, (finish, w, next(seq), w, t, job))
         busy[w] += 1
         samples[w] = samples.get(w, 0) + 1
 
@@ -77,13 +72,9 @@ def _run(
     x0: Array,
     stop: StopRule,
     master_seed: int,
-    record_iterates: bool,
-    faults: Optional[FaultInjection],
 ) -> RunTrace:
     x, shifts = _start_point(objective, workers, x0)
-    faults = faults or FaultInjection()
-    heap, busy, samples, assign = _job_queue(
-        workers, noise, x.shape[0], shifts, master_seed, -1 if faults.invert_ties else 1)
+    heap, busy, samples, assign = _job_queue(workers, noise, x.shape[0], shifts, master_seed)
     client_rng = named_stream(master_seed, "client-sampling")
 
     t = 0
@@ -100,7 +91,6 @@ def _run(
     col_assigned: list[int] = []
     # concurrency_log[t] is |C_t|, the trace's concurrency column before event t
     concurrency_log: list[int] = []
-    iterates: Optional[list[Array]] = [x] if record_iterates else None
     tracker = stop.tracker(grad_norm)
 
     def quiescent(tol: float) -> bool:
@@ -132,8 +122,6 @@ def _run(
         t += 1
         value, grad = objective.value_and_gradient(x)
         grad_norm = math.sqrt(float(np.dot(grad, grad)))
-        if iterates is not None:
-            iterates.append(x)
 
         selection = policy.after(t, worker, busy, client_rng)
         for w in selection:
@@ -143,8 +131,6 @@ def _run(
 
         verdict = tracker.check(t, value, grad_norm, quiescent)
 
-    if faults.delay_off_by_one:
-        col_delay = [d + 1 for d in col_delay]
     remaining = sorted(heap)
     ledger = DelayLedger(
         total_iterations=t,
@@ -174,5 +160,4 @@ def _run(
         converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
         diverged=verdict == "diverged",
         ledger=ledger,
-        iterates=iterates,
     )

@@ -174,7 +174,8 @@ def direct_minibatch_sgd(objective, sigma, eta, batch_size, n_batches, x0, maste
 def test_05_batch_policy_reproduces_direct_minibatch_sgd():
     """The batch-of-n scheduling policy yields iterates equal to a direct
     minibatch SGD loop (1e-12 relative per coordinate) at every batch
-    boundary, for n in {2, 4, 8} on 20 random quadratics."""
+    boundary, for n in {2, 4, 8} on 20 random quadratics.  The iterate at
+    boundary k is the final point of a run capped at k * n iterations."""
     rng = np.random.default_rng(5)
     compared = 0
     for case in range(20):
@@ -184,18 +185,15 @@ def test_05_batch_policy_reproduces_direct_minibatch_sgd():
         master = int(rng.integers(2**31))
         for n in (2, 4, 8):
             n_batches = 25
-            trace = run_homogeneous(
-                obj, NoiseModel(0.1), constant_fleet([1.0] * n), MiniBatch(),
-                ConstantStepsize(0.05), x0,
-                StopRule(max_iterations=n * n_batches),
-                master_seed=master, record_iterates=True)
             direct = direct_minibatch_sgd(obj, 0.1, 0.05, n, n_batches, x0, master)
-            for k, x_direct in enumerate(direct):
+            for k in range(1, n_batches + 1):
+                trace = run_homogeneous(
+                    obj, NoiseModel(0.1), constant_fleet([1.0] * n), MiniBatch(),
+                    ConstantStepsize(0.05), x0, StopRule(max_iterations=k * n),
+                    master_seed=master)
                 np.testing.assert_allclose(
-                    trace.iterates[k * n], x_direct, rtol=1e-12, atol=1e-15,
+                    trace.final_x, direct[k], rtol=1e-12, atol=1e-15,
                     err_msg=f"case {case}, batch size {n}, boundary {k}")
-            np.testing.assert_allclose(trace.final_x, direct[-1], rtol=1e-12,
-                                       atol=1e-15)
             compared += 1
     ok(f"05 minibatch equivalence: {compared} runs matched the direct loop "
        f"at every batch boundary (rtol 1e-12)")
@@ -222,6 +220,12 @@ def test_06_theoretical_stepsize_reaches_target():
        f"{iters[1]}/{iters[2]}/{iters[4]} iterations for concurrency 1/2/4")
 
 
+def final_error(trace) -> float:
+    """``metrics.last_k_error`` without its short-trace warning: a diverged
+    grid point stops early on purpose."""
+    return float(metrics.grad_norm_sequence(trace)[-metrics.ERROR_WINDOW:].mean())
+
+
 def test_07_delay_adaptive_rule_survives_a_straggler():
     """One worker delivers a single gradient with delay about equal to the
     horizon.  Both delay-adaptive modes stay within 2x of the straggler-free
@@ -241,7 +245,7 @@ def test_07_delay_adaptive_rule_survives_a_straggler():
     def tune_runner(eta, budget):
         trace = run_with(ConstantStepsize(eta), clean)
         return TuneOutcome(iterations_to_target=None,
-                           final_error=metrics.last_k_error(trace, warn_short=False),
+                           final_error=final_error(trace),
                            diverged=trace.diverged)
 
     tuned = grid_tune(tune_runner, default_log_grid(), criterion="min_final_error")

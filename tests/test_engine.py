@@ -10,7 +10,6 @@ from asgdsim import (
     ConstantStepsize,
     ConstantTime,
     CustomSelection,
-    FaultInjection,
     InvalidConfigError,
     InvalidSelectionError,
     LogNormalTime,
@@ -48,10 +47,10 @@ class ScriptedTime:
         return next(self.durations)
 
 
-def simple_run(workers, policy, max_iterations, stepsize=None, seed=0, **kwargs):
+def simple_run(workers, policy, max_iterations, stepsize=None, seed=0):
     return run_homogeneous(
         QUAD, NO_NOISE, workers, policy, stepsize or ConstantStepsize(0.1),
-        X0, StopRule(max_iterations=max_iterations), master_seed=seed, **kwargs)
+        X0, StopRule(max_iterations=max_iterations), master_seed=seed)
 
 
 class TestTimeModels:
@@ -177,37 +176,45 @@ class TestConservation:
         assert (check.lhs, check.rhs) == (4, 4)
 
     def test_off_by_one_fault_breaks_identity(self):
-        trace = simple_run(constant_fleet([1.0, 1.0]), MaxConcurrency(), 6,
-                           faults=FaultInjection(delay_off_by_one=True))
-        assert not metrics.delay_conservation(trace.ledger).passed
+        ledger = simple_run(constant_fleet([1.0, 1.0]), MaxConcurrency(), 6).ledger
+        assert metrics.delay_conservation(ledger).passed
+        shifted = dataclasses.replace(ledger,
+                                      applied_delays=[d + 1 for d in ledger.applied_delays])
+        assert not metrics.delay_conservation(shifted).passed
+
+
+def table_policy(table):
+    """A ``CustomSelection`` that hands out ``table[step]`` at each step, and
+    nothing once the table runs dry."""
+    return CustomSelection(select=lambda step, busy, rng: table[step] if step < len(table) else ())
 
 
 class TestCustomSelection:
     def test_table_schedule_is_followed(self):
         # three workers seeded together; nobody reassigned at step 0, the two
         # now-idle workers handed fresh jobs at step 1, nobody at step 2
-        policy = CustomSelection(table=((), (0, 1), ()))
+        policy = table_policy(((), (0, 1), ()))
         trace = simple_run(constant_fleet([1.0, 2.0, 3.0]), policy, 3)
         assert list(trace.n_assigned) == [0, 2, 0]
 
     def test_duplicate_selection_rejected(self):
-        policy = CustomSelection(table=((0, 0),))
+        policy = table_policy(((0, 0),))
         with pytest.raises(InvalidSelectionError):
             simple_run(constant_fleet([1.0, 2.0]), policy, 2)
 
     def test_busy_worker_rejected(self):
         # worker 1 needs 5 time units; reassigning it at step 0 double-books it
-        policy = CustomSelection(table=((1,),))
+        policy = table_policy(((1,),))
         with pytest.raises(InvalidSelectionError, match="still computing"):
             simple_run(constant_fleet([1.0, 5.0]), policy, 2)
 
     def test_unknown_worker_rejected(self):
-        policy = CustomSelection(table=((9,),))
+        policy = table_policy(((9,),))
         with pytest.raises(InvalidSelectionError):
             simple_run(constant_fleet([1.0, 2.0]), policy, 2)
 
     def test_starved_queue_deadlocks(self):
-        policy = CustomSelection(table=())  # never assign anything new
+        policy = table_policy(())  # never assign anything new
         with pytest.raises(SimulationDeadlockError):
             simple_run(constant_fleet([1.0, 1.0]), policy, 10)
 
@@ -221,13 +228,6 @@ class TestCustomSelection:
         trace = simple_run(constant_fleet([1.0, 1.0]), CustomSelection(select=select), 4)
         assert len(trace) == 4
         assert [s for s, _ in seen] == [0, 1, 2, 3]
-
-    def test_needs_exactly_one_of_table_or_select(self):
-        with pytest.raises(InvalidConfigError):
-            simple_run(constant_fleet([1.0]), CustomSelection(), 1)
-        with pytest.raises(InvalidConfigError):
-            simple_run(constant_fleet([1.0]),
-                       CustomSelection(table=((),), select=lambda s, busy, rng: []), 1)
 
 
 class TestClientSampling:
@@ -467,14 +467,6 @@ class TestDeterminism:
                                StopRule(max_iterations=30), master_seed=11)
         np.testing.assert_array_equal(solo.grad_norms, pair.grad_norms)
 
-    def test_inverted_ties_change_the_schedule(self):
-        fleet = constant_fleet([1.0, 1.0])
-        clean = simple_run(fleet, MaxConcurrency(), 6)
-        flipped = simple_run(fleet, MaxConcurrency(), 6,
-                             faults=FaultInjection(invert_ties=True))
-        assert list(clean.worker_ids) == [0, 1, 0, 1, 0, 1]
-        assert list(flipped.worker_ids) == [1, 0, 1, 0, 1, 0]
-
 
 def reference_csv(trace, path):
     """Row-at-a-time writer: the definition of the trace CSV format."""
@@ -532,13 +524,6 @@ class TestTraceAndState:
         row = lines[3].split(",")
         assert int(row[0]) == 2
         assert float(row[5]) == trace.grad_norms[2]
-
-    def test_record_iterates_keeps_every_point(self):
-        trace = simple_run(constant_fleet([1.0]), MaxConcurrency(), 5,
-                           record_iterates=True)
-        assert len(trace.iterates) == 6
-        np.testing.assert_array_equal(trace.iterates[0], X0)
-        np.testing.assert_array_equal(trace.iterates[-1], trace.final_x)
 
     def test_gradient_norm_column_is_pre_update(self):
         trace = simple_run(constant_fleet([1.0]), MaxConcurrency(), 3)

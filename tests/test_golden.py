@@ -22,7 +22,6 @@ from asgdsim import (
     ConstantTime,
     CustomSelection,
     DelayAdaptiveStepsize,
-    FaultInjection,
     LogNormalTime,
     MaxConcurrency,
     MiniBatch,
@@ -201,10 +200,12 @@ def _engine_cases():
     noisy = NoiseModel(0.2)
     stop = StopRule(max_iterations=150)
 
-    def homogeneous(workers, policy, faults=None, stop=stop):
+    def homogeneous(workers, policy, stop=stop):
         return lambda: run_homogeneous(
             quad, noisy, workers, policy, DelayAdaptiveStepsize(0.3, 2.0, 2), np.ones(4), stop,
-            master_seed=11, faults=faults)
+            master_seed=11)
+
+    table = ((0,), (), (0, 1), (), (0, 2), (0,), (1,), (), (0, 1), (2,))
 
     return {
         "max_concurrency_noisy_straggler": homogeneous(mixed, MaxConcurrency()),
@@ -213,11 +214,9 @@ def _engine_cases():
         "uniform_sampling_homogeneous_queued": homogeneous(
             constant_fleet([1.0, 2.5, 4.0]), UniformClientSampling(concurrency=6)),
         "custom_table": homogeneous(constant_fleet([1.0, 2.0, 3.0]), CustomSelection(
-            table=((0,), (), (0, 1), (), (0, 2), (0,), (1,), (), (0, 1), (2,))),
+            select=lambda step, busy, rng: table[step] if step < len(table) else ()),
             stop=StopRule(max_iterations=12)),  # the table runs dry after step 9
         "custom_callback_rng": homogeneous(mixed, CustomSelection(select=_pick_idle)),
-        "invert_ties": homogeneous(constant_fleet([1.0, 1.0, 2.0]), MaxConcurrency(),
-                                   FaultInjection(invert_ties=True)),
         "heterogeneous": lambda: run_heterogeneous(
             make_heterogeneous(quad, 4, 1.0, seed=3), noisy, mixed, 5,
             ConstantStepsize(0.1), np.zeros(4), stop, master_seed=11),
@@ -245,7 +244,6 @@ ENGINE_GOLDEN = {
     "custom_callback_rng": "57b4afdc6eeca9f8ab8dc433e955f04b30ab09f657a00a316f3fbee869ae12a7",
     "custom_table": "02ef4af01876c5f446719c3f4bdc58461f5fa0c0cfa9447e417c8cf74268e3a8",
     "heterogeneous": "dccfac09d4cf4e8c93fecdd77a0801392862984e997c17addbad655321f2fd0a",
-    "invert_ties": "e14c0dc46dea50856bbbc005393f63911d0ae6588919783388982a190c949aaf",
     "max_concurrency_noisy_straggler":
         "436b5c883bd02aa6387f0af898f7567c44b4c2d3ad466bb65f1964b851f031f4",
     "minibatch": "7fb1d4b82996a39d55ad6c752857642ebeee0dfb23156cac1a3c2248dae0c0a2",

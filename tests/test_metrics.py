@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -252,9 +251,6 @@ class TestTraceErrors:
         trace = self.fake_trace([1.0, 2.0, 3.0], 4.0)
         with pytest.warns(UserWarning, match="only 4 iterates"):
             assert metrics.last_k_error(trace, k=10) == pytest.approx(2.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert metrics.last_k_error(trace, k=10, warn_short=False) == pytest.approx(2.5)
 
     def test_k_must_be_positive(self):
         with pytest.raises(UndefinedStatisticError):

@@ -1,6 +1,14 @@
-"""The verify checks catch the bookkeeping faults that they are built to catch."""
+"""The verify checks catch the bookkeeping faults that they are built to catch.
 
-from asgdsim import FaultInjection
+Each fault is injected here, by patching the engine or the replay for the
+length of one test; nothing in the run API switches it on.
+"""
+
+import dataclasses
+
+import pytest
+
+from asgdsim import engine, verify
 from asgdsim.verify import check_delay_conservation_fuzz, check_determinism
 
 
@@ -8,9 +16,15 @@ def test_conservation_fuzz_passes_clean_schedules():
     assert check_delay_conservation_fuzz(n_configs=5).passed
 
 
-def test_conservation_fuzz_catches_an_off_by_one_delay():
-    result = check_delay_conservation_fuzz(n_configs=5,
-                                           faults=FaultInjection(delay_off_by_one=True))
+def test_conservation_fuzz_catches_an_off_by_one_delay(monkeypatch):
+    close = engine.Schedule.close
+
+    def off_by_one(schedule):
+        ledger = close(schedule)
+        return dataclasses.replace(ledger, applied_delays=[d + 1 for d in ledger.applied_delays])
+
+    monkeypatch.setattr(engine.Schedule, "close", off_by_one)
+    result = check_delay_conservation_fuzz(n_configs=5)
     assert not result.passed
     assert "first failure at config" in result.detail
 
@@ -19,5 +33,15 @@ def test_determinism_passes_a_faithful_replay():
     assert check_determinism().passed
 
 
-def test_determinism_catches_inverted_tie_breaks():
-    assert not check_determinism(faults_for_second=FaultInjection(invert_ties=True)).passed
+@pytest.mark.parametrize("entry", ["run_homogeneous", "run_heterogeneous"])
+def test_determinism_catches_a_replay_that_differs(monkeypatch, entry):
+    run = getattr(verify, entry)
+    seeds = []
+
+    def replay_on_another_seed(*args, master_seed, **kwargs):
+        seeds.append(master_seed)
+        return run(*args, master_seed=master_seed + (len(seeds) == 2), **kwargs)
+
+    monkeypatch.setattr(verify, entry, replay_on_another_seed)
+    assert not check_determinism().passed
+    assert len(seeds) == 2
