@@ -36,7 +36,6 @@ from .engine import (
     StopRule,
     StragglerTime,
     UniformClientSampling,
-    WorkerModel,
     constant_fleet,
     run_grid,
     run_heterogeneous,
@@ -122,7 +121,7 @@ class ExperimentConfig(NamedTuple):
 
     data: dict
     objective: object
-    workers: list[WorkerModel]
+    workers: list  # one time model per worker
     policy: object
     stop: StopRule
     noise: NoiseModel
@@ -235,8 +234,8 @@ def _build_objective(spec: dict, default_seed: int):
                _field(spec, "zeta", path, float), seed + 1)
 
 
-def _build_workers(items: list) -> list[WorkerModel]:
-    out: list[WorkerModel] = []
+def _build_workers(items: list) -> list:
+    out = []
     for idx, item in enumerate(items):
         path = f"config.workers[{idx}]"
         _expect(isinstance(item, dict), path, "must be an object")
@@ -246,7 +245,7 @@ def _build_workers(items: list) -> list[WorkerModel]:
         _expect(kind in TIME_MODELS, f"{path}.time", f"unknown model {kind!r}")
         make, keys = TIME_MODELS[kind]
         model = _at(path, make, *(_field(item, key, path, float) for key in keys))
-        out.extend(WorkerModel(i, model) for i in range(len(out), len(out) + count))
+        out.extend([model] * count)
     _expect(len(out) >= 1, "config.workers", "must describe at least one worker")
     return out
 

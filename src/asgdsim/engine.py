@@ -13,11 +13,14 @@ iteration t has delay t - s.  Jobs queued on a busy worker (sampled
 policies allow that) wait FIFO behind it, and their delay keeps growing
 while they wait, so the active set is a true multiset.
 
-Worker i always computes client i's gradient.  A policy only decides who
-gets the next jobs: ``start(n, rng)`` names the workers seeded before
-iteration 0 and ``after(t, worker, busy, rng)`` those handed a job once
-``worker``'s gradient has been applied as iteration t - 1, given the
-in-flight job count per worker and the "client-sampling" stream.
+A fleet is a sequence of time models (``ConstantTime``, ``LogNormalTime``,
+``StragglerTime`` or anything with ``sample(rng)``): worker i draws its
+compute times from the model at position i, and always computes client i's
+gradient.  A policy only decides who gets the next jobs: ``start(n, rng)``
+names the workers seeded before iteration 0 and ``after(t, worker, busy,
+rng)`` those handed a job once ``worker``'s gradient has been applied as
+iteration t - 1, given the in-flight job count per worker and the
+"client-sampling" stream.
 
 * ``MaxConcurrency``         seed every worker; reassign the finishing
                              worker immediately.
@@ -134,15 +137,9 @@ class StragglerTime:
         return self.delta
 
 
-@dataclass(frozen=True)
-class WorkerModel:
-    worker_id: int
-    compute_time: ConstantTime | LogNormalTime | StragglerTime
-
-
-def constant_fleet(deltas: Sequence[float]) -> list[WorkerModel]:
+def constant_fleet(deltas: Sequence[float]) -> list[ConstantTime]:
     """Workers 0..n-1 with the given constant compute times."""
-    return [WorkerModel(i, ConstantTime(float(d))) for i, d in enumerate(deltas)]
+    return [ConstantTime(float(d)) for d in deltas]
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +363,13 @@ class RunTrace:
     """Per-iteration record of a run plus its delay ledger.
 
     Row t holds the state just before server update t: the gradient norm and
-    objective value at x^t, the applied job's worker/delay/stepsize (worker
-    i computes client i's gradient, so ``client_ids`` repeats ``worker_ids``),
-    the simulated clock at application, the number of jobs handed out at that
-    step and |C_t|.
+    objective value at x^t, the applied job's worker/delay/stepsize, the
+    simulated clock at application, the number of jobs handed out at that
+    step and |C_t|.  Worker i computes client i's gradient, so the CSV's
+    ``client_id`` column repeats ``worker_ids``.
     """
 
     worker_ids: Array
-    client_ids: Array
     delays: Array
     stepsizes: Array
     grad_norms: Array
@@ -401,7 +397,7 @@ class RunTrace:
     CSV_CHUNK_ROWS = 1024  # rows converted to Python objects at a time
 
     def to_csv(self, path) -> None:
-        columns = (self.worker_ids, self.client_ids, self.delays, self.stepsizes,
+        columns = (self.worker_ids, self.worker_ids, self.delays, self.stepsizes,
                    self.grad_norms, self.objective_values, self.sim_times,
                    self.n_assigned, self.concurrency)
         with Path(path).open("w", newline="") as handle:
@@ -427,12 +423,10 @@ def _window_mean(window) -> float:
     return total / len(window)
 
 
-def _start_point(objective, workers: Sequence[WorkerModel], x0: Array):
+def _start_point(objective, workers: Sequence, x0: Array):
     """The checked start point of a run and the family's client shifts (or None)."""
     if not workers:
         raise InvalidConfigError("need at least one worker")
-    if [w.worker_id for w in workers] != list(range(len(workers))):
-        raise InvalidConfigError("worker ids must be 0..n-1 in order")
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise InvalidConfigError("x0 must be a 1-d vector")
@@ -461,20 +455,19 @@ class Schedule:
     gives the ledger.
     """
 
-    def __init__(self, workers: Sequence[WorkerModel], policy, master_seed: int):
+    def __init__(self, workers: Sequence, policy, master_seed: int):
         self.workers, self.policy, self.master_seed = workers, policy, master_seed
         self.heap = []  # (finish_time, tie_key, job_id, worker, start_iteration)
-        self.samples = {}  # jobs handed to each worker
         # per applied job; n_assigned[t] jobs were handed out once t jobs had
         # been applied, and concurrency_log[t] = |C_t| were then in flight
         self.worker_ids, self.delays, self.finish_times = [], [], []
         self.n_assigned, self.concurrency_log = [], []
 
     def __iter__(self):
-        heap, samples, worker_ids, delays, finish_times, n_assigned, concurrency_log = (
-            self.heap, self.samples, self.worker_ids, self.delays, self.finish_times,
-            self.n_assigned, self.concurrency_log)
-        sample_time = [w.compute_time.sample for w in self.workers]
+        heap, worker_ids, delays, finish_times, n_assigned, concurrency_log = (
+            self.heap, self.worker_ids, self.delays, self.finish_times, self.n_assigned,
+            self.concurrency_log)
+        sample_time = [model.sample for model in self.workers]
         delay_rng = named_stream(self.master_seed, "delay-model")
         client_rng = named_stream(self.master_seed, "client-sampling")
         after = self.policy.after
@@ -494,7 +487,6 @@ class Schedule:
                 heappush(heap, (finish, w, next_id, w, t))
                 next_id += 1
                 busy[w] += 1
-                samples[w] = samples.get(w, 0) + 1
             n_assigned.append(len(handed))
             concurrency_log.append(len(heap))
             yield (job_id, worker, delay, handed) if t else handed
@@ -511,17 +503,14 @@ class Schedule:
             handed = after(t, worker, busy, client_rng)
 
     def close(self) -> DelayLedger:
-        """The ledger after the last applied job."""
+        """The ledger after the last applied job, in-flight jobs in application order."""
         remaining = sorted(self.heap)
         return DelayLedger(
-            total_iterations=len(self.worker_ids),
             applied_delays=self.delays,
             applied_clients=self.worker_ids,
             active_start_iterations=[entry[4] for entry in remaining],
             active_clients=[entry[3] for entry in remaining],
             concurrency_log=self.concurrency_log,
-            samples_per_client=dict(sorted(self.samples.items())),
-            excluded_active_index=0 if remaining else None,
         )
 
 
@@ -545,7 +534,7 @@ def _in_flight(noise: NoiseModel, n: int, dim: int, shifts, master_seed: int):
     return jobs, hand_out
 
 
-def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, stepsize,
+def _run(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
          x0: Array, stop: StopRule, master_seed: int) -> RunTrace:
     x, shifts = _start_point(objective, workers, x0)
     schedule = Schedule(workers, policy, master_seed)
@@ -583,7 +572,6 @@ def _run(objective, noise: NoiseModel, workers: Sequence[WorkerModel], policy, s
 
     return RunTrace(
         worker_ids=np.array(schedule.worker_ids, dtype=int),
-        client_ids=np.array(schedule.worker_ids, dtype=int),
         delays=np.array(schedule.delays, dtype=int),
         stepsizes=np.array(col_eta, dtype=float),
         grad_norms=np.array(col_grad_norm, dtype=float),
@@ -610,7 +598,7 @@ def _row_norms(rows: Array) -> Array:
 def run_grid(
     objective,
     noise: NoiseModel,
-    workers: Sequence[WorkerModel],
+    workers: Sequence,
     policy,
     stepsizes: Sequence,
     x0: Array,
@@ -708,7 +696,7 @@ def run_grid(
 def run_homogeneous(
     objective,
     noise: NoiseModel,
-    workers: Sequence[WorkerModel],
+    workers: Sequence,
     policy,
     stepsize,
     x0: Array,
@@ -724,7 +712,7 @@ def run_homogeneous(
 def run_heterogeneous(
     family: HeterogeneousFamily,
     noise: NoiseModel,
-    workers: Sequence[WorkerModel],
+    workers: Sequence,
     concurrency: int,
     stepsize,
     x0: Array,

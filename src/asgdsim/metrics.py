@@ -5,13 +5,14 @@ delays tau_t = t - (assignment iteration) for t = 0..T-1, the start
 iterations of the jobs still in flight at T, and the concurrency log
 |C_0|, ..., |C_T|.  All delay arithmetic here is exact integer/rational.
 
-Two in-flight conventions coexist and both are supported:
+Every job handed out is either applied or still in flight, so the ledger
+derives its iteration count and each client's hand-out count from these
+columns.  The in-flight jobs are kept in application order, and two
+conventions count them:
 
 * Reported statistics (``average_delay``, ``max_delay``) exclude the
   in-flight job that would have been applied next, matching the convention
-  that the last step's job is not counted among the leftovers.  A ledger
-  built with ``excluded_active_index=None`` counts every in-flight job
-  instead; the ledger records which convention it uses.
+  that the last step's job is not counted among the leftovers.
 * The conservation check counts every job from its assignment step
   inclusive, i.e. each applied delay enters as tau_t + 1 and each in-flight
   job as (T - start + 1).  Under that bookkeeping the total equals the
@@ -26,7 +27,7 @@ Two in-flight conventions coexist and both are supported:
 from __future__ import annotations
 
 import math
-import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -38,19 +39,14 @@ from .errors import UndefinedStatisticError
 
 @dataclass
 class DelayLedger:
-    total_iterations: int
     applied_delays: list[int]
     applied_clients: list[int]
-    active_start_iterations: list[int]
+    active_start_iterations: list[int]  # in application order
     active_clients: list[int]
     concurrency_log: list[int]
-    samples_per_client: dict[int, int]
-    excluded_active_index: Optional[int] = None
 
     def __post_init__(self):
         t = self.total_iterations
-        if len(self.applied_delays) != t:
-            raise ValueError(f"expected {t} applied delays, got {len(self.applied_delays)}")
         if len(self.applied_clients) != t:
             raise ValueError("applied_clients length does not match applied_delays")
         if len(self.active_start_iterations) != len(self.active_clients):
@@ -59,24 +55,25 @@ class DelayLedger:
             raise ValueError(
                 f"concurrency log must have {t + 1} entries, got {len(self.concurrency_log)}"
             )
-        if self.excluded_active_index is not None and not (
-            0 <= self.excluded_active_index < len(self.active_start_iterations)
-        ):
-            raise ValueError("excluded_active_index out of range")
 
     @property
-    def in_flight_convention(self) -> str:
-        return "all" if self.excluded_active_index is None else "exclude-next-applied"
+    def total_iterations(self) -> int:
+        return len(self.applied_delays)
+
+    @property
+    def samples_per_client(self) -> dict[int, int]:
+        """Jobs handed to each client: its applied jobs plus its in-flight ones."""
+        counts = Counter(self.applied_clients)
+        counts.update(self.active_clients)
+        return dict(sorted(counts.items()))
 
     def in_flight_delays_all(self) -> list[int]:
         t = self.total_iterations
         return [t - s for s in self.active_start_iterations]
 
     def in_flight_delays_reported(self) -> list[int]:
-        delays = self.in_flight_delays_all()
-        if self.excluded_active_index is not None:
-            delays = [d for i, d in enumerate(delays) if i != self.excluded_active_index]
-        return delays
+        """The in-flight delays without the job that would be applied next."""
+        return self.in_flight_delays_all()[1:]
 
 
 class ConservationCheck(NamedTuple):
@@ -149,16 +146,15 @@ def average_delay_per_client_exact(ledger: DelayLedger, client: int) -> Fraction
     count = ledger.samples_per_client.get(client, 0)
     if count == 0:
         raise UndefinedStatisticError(f"client {client} was never sampled")
-    return Fraction(_delay_totals_per_client(ledger).get(client, 0), count)
+    return Fraction(_delay_totals_per_client(ledger)[client], count)
 
 
 def average_delay_per_client(ledger: DelayLedger) -> dict[int, float]:
     """``average_delay_per_client_exact`` of every sampled client, as floats."""
     totals = _delay_totals_per_client(ledger)
     return {
-        client: float(Fraction(totals.get(client, 0), count))
-        for client, count in sorted(ledger.samples_per_client.items())
-        if count != 0
+        client: float(Fraction(totals[client], count))
+        for client, count in ledger.samples_per_client.items()
     }
 
 
@@ -171,21 +167,11 @@ ERROR_WINDOW = 30  # last_k_error's default k: the final error that tuning compa
 
 
 def last_k_error(trace, k: int = ERROR_WINDOW) -> float:
-    """Mean of the last ``k`` gradient norms along the iterate sequence.
-
-    Falls back to the whole sequence, with a warning, when fewer than ``k``
-    iterates exist.
-    """
-    norms = grad_norm_sequence(trace)
+    """Mean of the last ``k`` gradient norms along the iterate sequence, or of
+    the whole sequence when fewer than ``k`` iterates exist."""
     if k < 1:
         raise UndefinedStatisticError("k must be at least 1")
-    if norms.shape[0] < k:
-        warnings.warn(
-            f"trace has only {norms.shape[0]} iterates, averaging all of them instead of {k}",
-            stacklevel=2,
-        )
-        return float(norms.mean())
-    return float(norms[-k:].mean())
+    return float(grad_norm_sequence(trace)[-k:].mean())
 
 
 def weighted_grad_norm_average(trace, weights: str = "uniform") -> float:
@@ -239,7 +225,7 @@ def summary(trace) -> dict:
             str(c): v for c, v in average_delay_per_client(ledger).items()
         },
         "delay_conservation": {"lhs": check.lhs, "rhs": check.rhs, "pass": check.passed},
-        "in_flight_convention": ledger.in_flight_convention,
+        "in_flight_convention": "exclude-next-applied",
         "total_sim_time": _finite_or_none(trace.total_sim_time),
         "gradients_started": int(ledger.concurrency_log[0]) + int(np.sum(trace.n_assigned)),
     }

@@ -25,7 +25,6 @@ from .engine import (
     StopRule,
     StragglerTime,
     UniformClientSampling,
-    WorkerModel,
     constant_fleet,
     run_heterogeneous,
     run_homogeneous,
@@ -95,7 +94,7 @@ def random_config(rng: np.random.Generator, max_iterations: int = 10**4):
     under noise ``sigma`` and stepsize 1e-3 from the origin."""
     n = int(rng.integers(1, 17))
     workers = []
-    for w in range(n):
+    for _ in range(n):
         kind = rng.integers(0, 3)
         if kind == 0:
             model = ConstantTime(float(rng.uniform(0.5, 4.0)))
@@ -104,7 +103,7 @@ def random_config(rng: np.random.Generator, max_iterations: int = 10**4):
         else:
             model = StragglerTime(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 10.0)),
                                   float(rng.uniform(0.0, 0.3)))
-        workers.append(WorkerModel(w, model))
+        workers.append(model)
 
     roll = int(rng.integers(0, 5))
     if roll == 0:

@@ -3,19 +3,24 @@ that ``engine._run`` must reproduce bit for bit.
 
 ``_job_queue`` and ``_run`` are kept verbatim, except that the fault hooks
 (tie inversion, off-by-one delays) and the recorded iterates are gone with
-the run API's parameters for them.  Nothing in ``src`` calls this module.
+the run API's parameters for them, a fleet is a sequence of time models,
+and the trace and ledger are built from the fields they keep.  The loop
+still counts every hand-out itself, and the returned ``ReferenceTrace``
+carries those counts beside the trace.  Nothing in ``src`` calls this
+module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
-from asgdsim.engine import RunTrace, StopRule, WorkerModel, _start_point
+from asgdsim.engine import RunTrace, StopRule, _start_point
 from asgdsim.errors import InvalidConfigError, SimulationDeadlockError
 from asgdsim.metrics import DelayLedger
 from asgdsim.objectives import NoiseModel
@@ -24,7 +29,12 @@ from asgdsim.rng import named_stream
 Array = np.ndarray
 
 
-def _job_queue(workers: Sequence[WorkerModel], noise: NoiseModel, dim: int, shifts,
+@dataclass
+class ReferenceTrace(RunTrace):
+    samples_per_client: dict[int, int]  # the hand-outs the loop counted, by client
+
+
+def _job_queue(workers: Sequence, noise: NoiseModel, dim: int, shifts,
                master_seed: int):
     """The in-flight heap of a run and ``assign(w, t, now, grad)``, which hands
     worker ``w`` a job at iteration ``t`` and clock ``now``.
@@ -39,7 +49,7 @@ def _job_queue(workers: Sequence[WorkerModel], noise: NoiseModel, dim: int, shif
     busy = [0] * n
     samples: dict[int, int] = {}
     seq = itertools.count()
-    sample_time = [w.compute_time.sample for w in workers]
+    sample_time = [model.sample for model in workers]
     delay_rng = named_stream(master_seed, "delay-model")
     noise_rngs = [named_stream(master_seed, f"noise-worker-{i}") for i in range(n)]
     noisy = noise.sigma > 0.0
@@ -66,13 +76,13 @@ def _job_queue(workers: Sequence[WorkerModel], noise: NoiseModel, dim: int, shif
 def _run(
     objective,
     noise: NoiseModel,
-    workers: Sequence[WorkerModel],
+    workers: Sequence,
     policy,
     stepsize,
     x0: Array,
     stop: StopRule,
     master_seed: int,
-) -> RunTrace:
+) -> ReferenceTrace:
     x, shifts = _start_point(objective, workers, x0)
     heap, busy, samples, assign = _job_queue(workers, noise, x.shape[0], shifts, master_seed)
     client_rng = named_stream(master_seed, "client-sampling")
@@ -133,18 +143,14 @@ def _run(
 
     remaining = sorted(heap)
     ledger = DelayLedger(
-        total_iterations=t,
         applied_delays=col_delay,
         applied_clients=col_worker,
         active_start_iterations=[entry[4] for entry in remaining],
         active_clients=[entry[3] for entry in remaining],
         concurrency_log=concurrency_log,
-        samples_per_client=dict(sorted(samples.items())),
-        excluded_active_index=0 if remaining else None,
     )
-    return RunTrace(
+    return ReferenceTrace(
         worker_ids=np.array(col_worker, dtype=int),
-        client_ids=np.array(col_worker, dtype=int),
         delays=np.array(col_delay, dtype=int),
         stepsizes=np.array(col_eta, dtype=float),
         grad_norms=np.array(col_grad_norm, dtype=float),
@@ -160,4 +166,5 @@ def _run(
         converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
         diverged=verdict == "diverged",
         ledger=ledger,
+        samples_per_client=dict(sorted(samples.items())),
     )

@@ -220,12 +220,6 @@ def test_06_theoretical_stepsize_reaches_target():
        f"{iters[1]}/{iters[2]}/{iters[4]} iterations for concurrency 1/2/4")
 
 
-def final_error(trace) -> float:
-    """``metrics.last_k_error`` without its short-trace warning: a diverged
-    grid point stops early on purpose."""
-    return float(metrics.grad_norm_sequence(trace)[-metrics.ERROR_WINDOW:].mean())
-
-
 def test_07_delay_adaptive_rule_survives_a_straggler():
     """One worker delivers a single gradient with delay about equal to the
     horizon.  Both delay-adaptive modes stay within 2x of the straggler-free
@@ -245,7 +239,7 @@ def test_07_delay_adaptive_rule_survives_a_straggler():
     def tune_runner(eta, budget):
         trace = run_with(ConstantStepsize(eta), clean)
         return TuneOutcome(iterations_to_target=None,
-                           final_error=final_error(trace),
+                           final_error=metrics.last_k_error(trace),
                            diverged=trace.diverged)
 
     tuned = grid_tune(tune_runner, default_log_grid(), criterion="min_final_error")

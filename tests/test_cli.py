@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,17 @@ class TestExitCodes:
         data = tiny_config(stop={"max_iterations": 5, "grad_tol": 1e-14})
         cfg = write_config(tmp_path, data)
         assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "tune"])
+    def test_short_run_writes_nothing_to_stderr(self, command, tmp_path, capsys):
+        # 5 iterations leave 6 iterates, fewer than the 30 of error_last30
+        data = tiny_config(stop={"max_iterations": 5},
+                           tuning={"criterion": "min_final_error", "values": [0.1, 0.2]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, write_config(tmp_path, data),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_config(policy={"kind": "nope"}))

@@ -22,7 +22,6 @@ from asgdsim import (
     StopRule,
     StragglerTime,
     UniformClientSampling,
-    WorkerModel,
     constant_fleet,
     make_heterogeneous,
     make_quadratic,
@@ -99,13 +98,13 @@ class TestTimeModels:
     @pytest.mark.parametrize("model", [LogNormalTime(709.0, 5.0), ConstantTime(1e308)])
     def test_overflowing_finish_time_names_the_worker(self, model):
         with pytest.raises(InvalidConfigError, match="worker 0"):
-            simple_run([WorkerModel(0, model)], MaxConcurrency(), 50)
+            simple_run([model], MaxConcurrency(), 50)
 
     @pytest.mark.parametrize("durations", [(0.0,), (1e17, 1.0)])
     @pytest.mark.parametrize("loop", ["single", "lockstep"])
     def test_finish_time_must_follow_its_start(self, durations, loop):
         """A zero duration, or one that the clock absorbs (1e17 + 1 == 1e17), is refused."""
-        workers = [WorkerModel(0, ScriptedTime(*durations))]
+        workers = [ScriptedTime(*durations)]
         with pytest.raises(InvalidConfigError, match="worker 0"):
             if loop == "single":
                 simple_run(workers, MaxConcurrency(), 50)
@@ -114,10 +113,9 @@ class TestTimeModels:
                                 [ConstantStepsize(0.1), ConstantStepsize(0.2)], X0,
                                 StopRule(max_iterations=50))
 
-    def test_constant_fleet_assigns_sequential_ids(self):
+    def test_constant_fleet_keeps_the_worker_order(self):
         fleet = constant_fleet([1.0, 2.5, 4.0])
-        assert [w.worker_id for w in fleet] == [0, 1, 2]
-        assert [w.compute_time.delta for w in fleet] == [1.0, 2.5, 4.0]
+        assert fleet == [ConstantTime(1.0), ConstantTime(2.5), ConstantTime(4.0)]
 
 
 class TestHandSchedules:
@@ -239,7 +237,7 @@ class TestClientSampling:
             QUAD, NO_NOISE, constant_fleet([10.0]), policy, ConstantStepsize(0.01),
             X0, StopRule(max_iterations=5), master_seed=2)
         assert list(trace.sim_times) == [10.0, 20.0, 30.0, 40.0, 50.0]
-        assert list(trace.client_ids) == [0, 0, 0, 0, 0]
+        assert list(trace.worker_ids) == [0, 0, 0, 0, 0]
 
     def test_concurrency_is_preserved(self):
         policy = UniformClientSampling(concurrency=4)
@@ -435,8 +433,8 @@ class TestStopVerdictSummation:
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
-        fleet = [WorkerModel(0, LogNormalTime(0.0, 0.5)),
-                 WorkerModel(1, StragglerTime(1.0, 30.0, 0.1))]
+        fleet = [LogNormalTime(0.0, 0.5),
+                 StragglerTime(1.0, 30.0, 0.1)]
         runs = [
             run_homogeneous(QUAD, NoiseModel(0.3), fleet, MaxConcurrency(),
                             ConstantStepsize(0.05), X0,
@@ -448,7 +446,7 @@ class TestDeterminism:
         np.testing.assert_array_equal(runs[0].final_x, runs[1].final_x)
 
     def test_different_seed_differs(self):
-        fleet = [WorkerModel(0, LogNormalTime(0.0, 0.5))]
+        fleet = [LogNormalTime(0.0, 0.5)]
         a = run_homogeneous(QUAD, NoiseModel(0.3), fleet, MaxConcurrency(),
                             ConstantStepsize(0.05), X0,
                             StopRule(max_iterations=40), master_seed=1)
@@ -469,13 +467,14 @@ class TestDeterminism:
 
 
 def reference_csv(trace, path):
-    """Row-at-a-time writer: the definition of the trace CSV format."""
+    """Row-at-a-time writer: the definition of the trace CSV format.  Worker i
+    computes client i's gradient, so the worker id fills both id columns."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(trace.CSV_COLUMNS)
         for t in range(len(trace)):
             writer.writerow((
-                t, int(trace.worker_ids[t]), int(trace.client_ids[t]), int(trace.delays[t]),
+                t, int(trace.worker_ids[t]), int(trace.worker_ids[t]), int(trace.delays[t]),
                 repr(float(trace.stepsizes[t])), repr(float(trace.grad_norms[t])),
                 repr(float(trace.objective_values[t])), repr(float(trace.sim_times[t])),
                 int(trace.n_assigned[t]), int(trace.concurrency[t]),
@@ -484,7 +483,7 @@ def reference_csv(trace, path):
 
 def noisy_client_run(max_iterations):
     fam = make_heterogeneous(QUAD, 5, 1.0, seed=4)
-    fleet = [WorkerModel(i, LogNormalTime(0.0, 0.7)) for i in range(5)]
+    fleet = [LogNormalTime(0.0, 0.7)] * 5
     return run_heterogeneous(fam, NoiseModel(0.3), fleet, 3, ConstantStepsize(0.05), X0,
                              StopRule(max_iterations=max_iterations), master_seed=9)
 
@@ -537,12 +536,6 @@ class TestTraceAndState:
         with pytest.raises(InvalidConfigError):
             run_homogeneous(QUAD, NO_NOISE, constant_fleet([1.0]), MaxConcurrency(),
                             ConstantStepsize(0.1), np.array([1.0, np.inf, 0.0, 0.0]),
-                            StopRule(max_iterations=5))
-
-    def test_worker_ids_must_be_dense(self):
-        bad = [WorkerModel(0, ConstantTime(1.0)), WorkerModel(2, ConstantTime(1.0))]
-        with pytest.raises(InvalidConfigError):
-            run_homogeneous(QUAD, NO_NOISE, bad, MaxConcurrency(), ConstantStepsize(0.1), X0,
                             StopRule(max_iterations=5))
 
 

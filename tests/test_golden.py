@@ -30,7 +30,6 @@ from asgdsim import (
     StopRule,
     StragglerTime,
     UniformClientSampling,
-    WorkerModel,
     constant_fleet,
     make_heterogeneous,
     make_quadratic,
@@ -192,10 +191,8 @@ def _pick_idle(step, busy, rng):
 
 
 def _engine_cases():
-    mixed = [WorkerModel(0, LogNormalTime(0.0, 0.5)),
-             WorkerModel(1, StragglerTime(1.0, 10.0, 0.3)),
-             WorkerModel(2, LogNormalTime(0.2, 0.8)),
-             WorkerModel(3, ConstantTime(2.0))]
+    mixed = [LogNormalTime(0.0, 0.5), StragglerTime(1.0, 10.0, 0.3), LogNormalTime(0.2, 0.8),
+             ConstantTime(2.0)]
     quad = make_quadratic(4, 1.0, 2.0, seed=7)
     noisy = NoiseModel(0.2)
     stop = StopRule(max_iterations=150)
@@ -226,7 +223,7 @@ def _engine_cases():
 def trace_digest(trace):
     """SHA-256 over every array, scalar and ledger field of a RunTrace."""
     digest = hashlib.sha256()
-    for name in ("worker_ids", "client_ids", "delays", "stepsizes", "grad_norms",
+    for name in ("worker_ids", "delays", "stepsizes", "grad_norms",
                  "objective_values", "sim_times", "n_assigned", "concurrency", "final_x"):
         column = np.ascontiguousarray(getattr(trace, name))
         digest.update(f"{name}:{column.dtype}:{column.shape}".encode())
@@ -234,23 +231,21 @@ def trace_digest(trace):
     scalars = (trace.final_value, trace.final_grad_norm, trace.total_sim_time,
                trace.stop_reason, trace.converged, trace.diverged)
     digest.update(repr(scalars).encode())
-    ledger = dataclasses.asdict(trace.ledger)
-    ledger["samples_per_client"] = sorted(ledger["samples_per_client"].items())
-    digest.update(json.dumps(ledger, sort_keys=True).encode())
+    digest.update(json.dumps(dataclasses.asdict(trace.ledger), sort_keys=True).encode())
     return digest.hexdigest()
 
 
 ENGINE_GOLDEN = {
-    "custom_callback_rng": "57b4afdc6eeca9f8ab8dc433e955f04b30ab09f657a00a316f3fbee869ae12a7",
-    "custom_table": "02ef4af01876c5f446719c3f4bdc58461f5fa0c0cfa9447e417c8cf74268e3a8",
-    "heterogeneous": "dccfac09d4cf4e8c93fecdd77a0801392862984e997c17addbad655321f2fd0a",
+    "custom_callback_rng": "7482be1b9d5a92f3d5da917446f944c5f728556ed7737761b2f0513d96e3e4ea",
+    "custom_table": "aadb1882af5c8de6a6d83bcc07d7cc380ffb10eba42defc889af361c0a2bb057",
+    "heterogeneous": "935d2a947db357bc3261ef2ea174eeacea4dfa4e65643f91bbce295052e819dd",
     "max_concurrency_noisy_straggler":
-        "436b5c883bd02aa6387f0af898f7567c44b4c2d3ad466bb65f1964b851f031f4",
-    "minibatch": "7fb1d4b82996a39d55ad6c752857642ebeee0dfb23156cac1a3c2248dae0c0a2",
+        "6c8dd58f5fff9eedc55852a8fa71f301a981d9823e1259a6bb9a3061ce67c905",
+    "minibatch": "c291ee83bf9cdff1a48fb42877ec7b0b36c443dd6256c831f40f453968b279c0",
     "sampled_minibatch_above_fleet":
-        "51d077d27cab16662deb4c8e13dad2c77634af64e05283af3fb7f24edd87b71c",
+        "bc1bd8c891799d537d9636bc42057a3cca20750d71b9ad633e90493a25809e02",
     "uniform_sampling_homogeneous_queued":
-        "dd086d9acbe46ac826c525ec639f1e1fb0bc60f9fcf8f2dec00ebf4c3276b96f",
+        "a9c159d04c9cfff6b57feb724c542942b89cfe38d08e47b887d8107a8cfd382c",
 }
 
 

@@ -29,7 +29,6 @@ from asgdsim import (
     TuneOutcome,
     TuningFailedError,
     UniformClientSampling,
-    WorkerModel,
     constant_fleet,
     default_log_grid,
     grid_tune,
@@ -41,7 +40,7 @@ from asgdsim import (
 )
 from asgdsim.cli import tune
 from asgdsim.engine import _window_mean, run_grid
-from asgdsim.metrics import ERROR_WINDOW, grad_norm_sequence
+from asgdsim.metrics import last_k_error
 from asgdsim.objectives import HeterogeneousFamily
 from reference_engine import _run as reference_run
 
@@ -77,11 +76,6 @@ class Case:
                          self.stop.max_iterations)
 
 
-def final_error(trace) -> float:
-    """``last_k_error`` without its short-trace warning: tuning cuts runs short."""
-    return float(grad_norm_sequence(trace)[-ERROR_WINDOW:].mean())
-
-
 def sequential_runner(simulate, stop: StopRule):
     """One capped run per grid point: ``simulate(eta, capped_stop)``."""
 
@@ -92,7 +86,7 @@ def sequential_runner(simulate, stop: StopRule):
         trace = simulate(eta, capped)
         return TuneOutcome(
             iterations_to_target=len(trace) if trace.converged and stop.has_target else None,
-            final_error=final_error(trace),
+            final_error=last_k_error(trace),
             diverged=trace.diverged,
         )
 
@@ -134,7 +128,7 @@ def random_case(seed: int) -> Case:
     times = [ConstantTime(float(rng.uniform(0.5, 3.0))),
              LogNormalTime(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 1.0))),
              StragglerTime(1.0, float(rng.uniform(2.0, 20.0)), 0.2)]
-    workers = [WorkerModel(i, times[int(rng.integers(3))]) for i in range(n)]
+    workers = [times[int(rng.integers(3))] for _ in range(n)]
     noise = NoiseModel(float(rng.choice([0.0, 0.0, 0.01, 0.1])))
 
     target = int(rng.integers(4))  # none, grad_tol, last_k_tol, both
@@ -178,7 +172,7 @@ def reference_outcome(case: Case, rule) -> TuneOutcome:
     trace = reference_run(case.objective, case.noise, case.workers, case.policy, rule, case.x0,
                           case.stop, case.seed)
     return TuneOutcome(len(trace) if trace.converged and case.stop.has_target else None,
-                       final_error(trace), trace.diverged)
+                       last_k_error(trace), trace.diverged)
 
 
 @pytest.mark.parametrize("seed", range(0, 90, 6))
@@ -215,7 +209,7 @@ class TestEdgeCases:
         capped = case.simulate(0.1, dataclasses.replace(
             case.stop, max_iterations=first.iterations_to_target - 1))
         assert first.iterations_to_target is not None
-        assert second == TuneOutcome(None, final_error(capped), False)
+        assert second == TuneOutcome(None, last_k_error(capped), False)
         assert capped.stop_reason == "cap"
 
         case.grid = [0.03, 0.1, 0.1, 1.0]
@@ -241,7 +235,7 @@ class TestEdgeCases:
                             [ConstantStepsize(e) for e in case.grid], case.x0, case.stop)
         for eta, outcome in zip(case.grid, outcomes):
             trace = case.simulate(eta, case.stop)
-            assert outcome.final_error == final_error(trace)
+            assert outcome.final_error == last_k_error(trace)
             assert outcome.diverged == trace.diverged
         assert_lockstep_matches_sequential(case)
 

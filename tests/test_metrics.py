@@ -1,3 +1,5 @@
+import dataclasses
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -36,30 +38,23 @@ def hand_ledger(**overrides):
     """A small ledger worked out on paper.
 
     Three applied gradients with delays 0, 1, 2 from clients 0, 1, 0; two
-    jobs still in flight (started at 1 and 3, clients 1 and 0); the
-    excluded slot is the older in-flight job.  The concurrency log was
-    chosen so the conservation identity holds:
+    jobs still in flight (started at 1 and 3, clients 1 and 0), the older
+    one to be applied next.  The concurrency log was chosen so the
+    conservation identity holds:
     lhs = 3 + 3 + (2 + 0) + 2 = 10 = 2 + 3 + 3 + 2.
     """
     base = dict(
-        total_iterations=3,
         applied_delays=[0, 1, 2],
         applied_clients=[0, 1, 0],
         active_start_iterations=[1, 3],
         active_clients=[1, 0],
         concurrency_log=[2, 3, 3, 2],
-        samples_per_client={0: 3, 1: 2},
-        excluded_active_index=0,
     )
     base.update(overrides)
     return DelayLedger(**base)
 
 
 class TestLedgerValidation:
-    def test_delay_count_must_match_iterations(self):
-        with pytest.raises(ValueError):
-            hand_ledger(applied_delays=[0, 1])
-
     def test_client_lists_must_line_up(self):
         with pytest.raises(ValueError):
             hand_ledger(applied_clients=[0])
@@ -70,14 +65,16 @@ class TestLedgerValidation:
         with pytest.raises(ValueError):
             hand_ledger(concurrency_log=[2, 3, 3])
 
-    def test_excluded_index_bounds(self):
-        with pytest.raises(ValueError):
-            hand_ledger(excluded_active_index=2)
-        hand_ledger(excluded_active_index=None)  # fine
+    def test_ledger_stores_only_its_recorded_columns(self):
+        assert [f.name for f in dataclasses.fields(DelayLedger)] == [
+            "applied_delays", "applied_clients", "active_start_iterations",
+            "active_clients", "concurrency_log"]
 
-    def test_convention_label_tracks_exclusion(self):
-        assert hand_ledger().in_flight_convention == "exclude-next-applied"
-        assert hand_ledger(excluded_active_index=None).in_flight_convention == "all"
+    def test_iterations_and_hand_outs_come_from_the_columns(self):
+        ledger = hand_ledger()
+        assert ledger.total_iterations == 3
+        # client 0: two applied jobs and one in flight; client 1: one of each
+        assert ledger.samples_per_client == {0: 3, 1: 2}
 
 
 class TestHandComputedStatistics:
@@ -85,14 +82,8 @@ class TestHandComputedStatistics:
         # applied 0+1+2 plus the surviving in-flight delay 0, over 4 jobs
         assert metrics.average_delay_exact(hand_ledger()) == Fraction(3, 4)
 
-    def test_all_convention_counts_both_in_flight_jobs(self):
-        ledger = hand_ledger(excluded_active_index=None)
-        assert metrics.average_delay_exact(ledger) == Fraction(1)
-
     def test_max_delay(self):
         assert metrics.max_delay(hand_ledger()) == 2
-        # dropping the exclusion exposes the in-flight job of delay 2 anyway
-        assert metrics.max_delay(hand_ledger(excluded_active_index=None)) == 2
 
     def test_average_concurrency(self):
         assert metrics.average_concurrency_exact(hand_ledger()) == Fraction(5, 2)
@@ -120,40 +111,30 @@ class TestHandComputedStatistics:
 
 def brute_force_per_client(ledger, client):
     """The definition, spelled out: the client's applied delays plus T - s for
-    each of its in-flight jobs, over the times it was handed work."""
+    each of its in-flight jobs, over the number of those jobs."""
     t = ledger.total_iterations
     delays = [d for d, c in zip(ledger.applied_delays, ledger.applied_clients) if c == client]
     delays += [t - s for s, c in zip(ledger.active_start_iterations, ledger.active_clients)
                if c == client]
-    return Fraction(sum(delays), ledger.samples_per_client[client])
+    return Fraction(sum(delays), len(delays))
 
 
 @st.composite
 def random_ledgers(draw):
-    """Ledgers of up to 5 sampled clients 0..n-1, among them clients with
-    in-flight jobs only or with no recorded job.  Each count is at least the
-    client's number of jobs, and at least 1.  Client ``n`` never took work;
-    sometimes it carries an explicit zero count."""
+    """Ledgers as a run leaves them, over clients 0..n-1 for n up to 5: every
+    hand-out is either applied or in flight, so a client with in-flight jobs
+    only was sampled and a client with neither was not."""
     n = draw(st.integers(1, 5))
     t = draw(st.integers(0, 25))
     applied_clients = draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t))
     applied_delays = draw(st.lists(st.integers(0, 40), min_size=t, max_size=t))
     active = draw(st.lists(st.tuples(st.integers(0, t), st.integers(0, n - 1)), max_size=8))
-    samples = {}
-    for c in range(n):
-        jobs = applied_clients.count(c) + sum(1 for _, a in active if a == c)
-        samples[c] = jobs + draw(st.integers(0 if jobs else 1, 3))
-    if draw(st.booleans()):
-        samples[n] = 0
     return DelayLedger(
-        total_iterations=t,
         applied_delays=applied_delays,
         applied_clients=applied_clients,
         active_start_iterations=[s for s, _ in active],
         active_clients=[c for _, c in active],
         concurrency_log=[0] * (t + 1),  # unused by the per-client statistics
-        samples_per_client=samples,
-        excluded_active_index=draw(st.sampled_from([None] + list(range(len(active))))),
     )
 
 
@@ -161,13 +142,14 @@ class TestPerClientOnePass:
     @settings(max_examples=200, deadline=None)
     @given(random_ledgers())
     def test_matches_the_brute_force_definition(self, ledger):
-        sampled = [c for c, count in ledger.samples_per_client.items() if count]
+        sampled = sorted(set(ledger.applied_clients) | set(ledger.active_clients))
+        assert list(ledger.samples_per_client) == sampled
         for client in sampled:
             assert metrics.average_delay_per_client_exact(ledger, client) == \
                 brute_force_per_client(ledger, client)
         assert metrics.average_delay_per_client(ledger) == {
-            c: float(brute_force_per_client(ledger, c)) for c in sorted(sampled)}
-        never = len(sampled)  # clients 0..n-1 were sampled, client n never was
+            c: float(brute_force_per_client(ledger, c)) for c in sampled}
+        never = max(sampled, default=0) + 1  # in neither job list
         with pytest.raises(UndefinedStatisticError):
             metrics.average_delay_per_client_exact(ledger, never)
 
@@ -175,19 +157,19 @@ class TestPerClientOnePass:
         # both in-flight jobs are client 1's, the excluded next one (started
         # at 1) among them; it enters the per-client mean although the
         # reported average leaves it out
-        ledger = hand_ledger(active_clients=[1, 1], samples_per_client={0: 2, 1: 3})
+        ledger = hand_ledger(active_clients=[1, 1])
         assert metrics.average_delay_per_client_exact(ledger, 1) == Fraction(1 + 2 + 0, 3)
         assert metrics.average_delay_per_client_exact(ledger, 0) == Fraction(2, 2)
 
 
 class TestDegenerateLedgers:
     def test_average_delay_needs_an_iteration(self):
-        ledger = DelayLedger(0, [], [], [0], [0], [1], {0: 1}, excluded_active_index=0)
+        ledger = DelayLedger([], [], [0], [0], [1])
         with pytest.raises(UndefinedStatisticError):
             metrics.average_delay_exact(ledger)
 
     def test_max_delay_of_nothing(self):
-        ledger = DelayLedger(0, [], [], [0], [0], [1], {0: 1}, excluded_active_index=0)
+        ledger = DelayLedger([], [], [0], [0], [1])
         with pytest.raises(UndefinedStatisticError):
             metrics.max_delay(ledger)
 
@@ -247,10 +229,11 @@ class TestTraceErrors:
         assert metrics.last_k_error(trace, k=2) == pytest.approx(3.5)
         assert metrics.last_k_error(trace, k=4) == pytest.approx(2.5)
 
-    def test_short_trace_warns_then_averages_everything(self):
+    def test_short_trace_averages_everything_without_a_warning(self):
         trace = self.fake_trace([1.0, 2.0, 3.0], 4.0)
-        with pytest.warns(UserWarning, match="only 4 iterates"):
-            assert metrics.last_k_error(trace, k=10) == pytest.approx(2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metrics.last_k_error(trace, k=10) == 2.5
 
     def test_k_must_be_positive(self):
         with pytest.raises(UndefinedStatisticError):
