@@ -602,10 +602,10 @@ def parse_deltas(spec: str) -> list[float]:
 
 def cmd_speedup(args) -> int:
     deltas = parse_deltas(args.deltas)
-    inp = speedup_mod.SpeedupInput(tuple(deltas), args.concurrency)
+    inp = _at("--deltas", speedup_mod.SpeedupInput, tuple(deltas), args.concurrency)
     weights = speedup_mod.minibatch_weights(inp.n_clients, inp.concurrency)
-    oracle = speedup_mod.minibatch_time_oracle(inp, method=args.oracle,
-                                               samples=args.mc_samples, seed=args.seed)
+    oracle = _at("--mc-samples", speedup_mod.minibatch_time_oracle, inp, method=args.oracle,
+                 samples=args.mc_samples, seed=args.seed)
     payload = {
         "n_clients": inp.n_clients,
         "concurrency": inp.concurrency,
@@ -660,6 +660,7 @@ FLAG_BOUNDS = {
     "max_iterations": ("--max-iterations", lambda v: v >= 1, "must be at least 1"),
     "points_per_decade": ("--points-per-decade", lambda v: v >= 1, "must be at least 1"),
     "mc_samples": ("--mc-samples", lambda v: v >= 2, "must be at least 2"),
+    "concurrency": ("--concurrency", lambda v: v >= 1, "must be at least 1"),
     "fuzz_configs": ("--fuzz-configs", lambda v: v >= 1, "must be at least 1"),
 }
 

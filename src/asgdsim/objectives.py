@@ -216,10 +216,13 @@ class NoiseModel:
         if self.sigma < 0:
             raise InvalidSpecError(f"sigma must be non-negative, got {self.sigma}")
 
-    def sample(self, dim: int, rng: np.random.Generator) -> Array:
+    def sample(self, size: int | tuple[int, int], rng: np.random.Generator) -> Array:
+        """One draw of ``dim`` coordinates, or with ``size=(rows, dim)`` that many
+        draws in a block, equal row for row to ``rows`` calls on the same stream."""
         if self.sigma == 0.0:
-            return np.zeros(dim)
-        return (self.sigma / math.sqrt(dim)) * rng.standard_normal(dim)
+            return np.zeros(size)
+        dim = size[-1] if isinstance(size, tuple) else size
+        return (self.sigma / math.sqrt(dim)) * rng.standard_normal(size)
 
 
 def make_quadratic(dim: int, lambda_min: float, lambda_max: float, seed: int) -> QuadraticObjective:

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import InvalidSpecError
 
 ENUMERATION_BUDGET = 10**6
+MONTE_CARLO_BUDGET = 10**9  # rank draws, samples x concurrency
+MONTE_CARLO_BLOCK = 2**18  # rank draws held at once
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,9 @@ class SpeedupInput:
         if self.concurrency < 1:
             raise InvalidSpecError(f"concurrency must be at least 1, got {self.concurrency}")
         object.__setattr__(self, "deltas", tuple(sorted(float(d) for d in self.deltas)))
+        with np.errstate(over="ignore"):  # the same sum as async_time's mean
+            if not np.isfinite(np.sum(self.deltas)):
+                raise InvalidSpecError("client speeds must have a finite sum")
 
     @property
     def n_clients(self) -> int:
@@ -93,12 +98,15 @@ def minibatch_time_oracle(
     ``exhaustive`` enumerates all n^C draws (only when that count stays
     within a fixed budget; otherwise it falls back to Monte Carlo and says
     so).  ``monte_carlo`` averages ``samples`` random batches; its stderr is
-    the sample standard error.
+    the sample standard error.  A one-client fleet's batches all take its
+    only speed, whatever the concurrency.
     """
     deltas = np.asarray(inp.deltas)
-    n, c = inp.n_clients, inp.concurrency
+    n = inp.n_clients
+    c = inp.concurrency if n > 1 else 1
     if method == "exhaustive":
-        if n**c <= ENUMERATION_BUDGET:
+        # n >= 2 keeps n^C within the budget only for C below its bit length
+        if c < ENUMERATION_BUDGET.bit_length() and n**c <= ENUMERATION_BUDGET:
             maxima = deltas.copy()
             for _ in range(c - 1):
                 maxima = np.maximum.outer(maxima, deltas).ravel()
@@ -108,7 +116,34 @@ def minibatch_time_oracle(
         fell_back = False
     else:
         raise InvalidSpecError(f"unknown oracle method {method!r}")
-    rng = np.random.default_rng(seed)
-    draws = deltas[rng.integers(0, n, size=(samples, c))].max(axis=1)
+    if samples * c > MONTE_CARLO_BUDGET:
+        raise InvalidSpecError(
+            f"monte carlo needs {samples:,} x {c:,} rank draws, "
+            f"over the budget of {MONTE_CARLO_BUDGET:,}")
+    draws = _batch_maxima(deltas, c, samples, np.random.default_rng(seed))
     stderr = float(draws.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
     return OracleEstimate(float(draws.mean()), stderr, "monte_carlo", fell_back)
+
+
+def _batch_maxima(deltas: np.ndarray, concurrency: int, samples: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The slowest of ``concurrency`` uniform draws from sorted ``deltas``, per batch.
+
+    Equals ``deltas[rng.integers(0, n, size=(samples, concurrency))].max(axis=1)``
+    bit for bit, but holds at most ``MONTE_CARLO_BLOCK`` ranks at a time: the
+    batches are drawn a block of rows (or, for a batch wider than a block, a
+    block of one row's columns) per call, and numpy's bounded integers continue
+    the stream draw for draw across calls.  A batch's slowest draw is the speed
+    at its largest rank, because ``deltas`` is sorted.
+    """
+    draws = np.empty(samples)
+    rows = max(1, MONTE_CARLO_BLOCK // concurrency)
+    cols = min(concurrency, MONTE_CARLO_BLOCK)
+    for lo in range(0, samples, rows):
+        k = min(rows, samples - lo)
+        top = np.zeros(k, dtype=np.int64)
+        for col in range(0, concurrency, cols):
+            ranks = rng.integers(0, len(deltas), size=(k, min(cols, concurrency - col)))
+            np.maximum(top, ranks.max(axis=1), out=top)
+        draws[lo:lo + k] = deltas[top]
+    return draws

@@ -182,7 +182,7 @@ def check_noise_calibration(seed: int = 11, draws: int = 10**5) -> CheckResult:
     noise = NoiseModel(sigma=1.0)
     rng = named_stream(seed, "noise-worker-0")
     dim = 2
-    samples = np.array([noise.sample(dim, rng) for _ in range(draws)])
+    samples = noise.sample((draws, dim), rng)
     mean_sq = float((samples**2).sum(axis=1).mean())
     ok = 0.99 <= mean_sq <= 1.01
     return CheckResult(

@@ -238,6 +238,7 @@ BAD_FLAG_LISTS = {
     "delta_not_a_number": ["speedup", "--deltas", "1,a", "--concurrency", "1"],
     "nan_delta": ["speedup", "--deltas", "nan,1", "--concurrency", "1"],
     "zero_delta_count": ["speedup", "--deltas", "1:0,2", "--concurrency", "1"],
+    "speed_sum_overflows": ["speedup", "--deltas", "1e308,1e308", "--concurrency", "2"],
 }
 
 
@@ -259,6 +260,7 @@ BAD_FLAG_VALUES = {
                              "--oracle", "monte_carlo", "--mc-samples", "-5"], "--mc-samples"),
     "negative_speedup_seed": (["speedup", "--deltas", "1,2", "--concurrency", "1",
                                "--seed", "-1"], "--seed"),
+    "zero_concurrency": (["speedup", "--deltas", "1,2", "--concurrency", "0"], "--concurrency"),
     "negative_verify_seed": (["verify", "--seed", "-3"], "--seed"),
     "negative_fuzz_configs": (["verify", "--fuzz-configs", "-5"], "--fuzz-configs"),
     "zero_fuzz_configs": (["verify", "--fuzz-configs", "0"], "--fuzz-configs"),
@@ -284,6 +286,14 @@ class TestFlagLists:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "invalid configuration" in err and flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sampling_past_the_budget_exits_1(self, tmp_path, capsys):
+        # two clients at 10^8 lanes fall back to 10^5 x 10^8 rank draws
+        assert main(["speedup", "--deltas", "1,2", "--concurrency", "100000000",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "--mc-samples" in err and "rank draws" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

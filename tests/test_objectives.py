@@ -122,8 +122,17 @@ class TestNoise:
     def test_expected_squared_norm_is_sigma_squared(self):
         noise = NoiseModel(2.0)
         rng = named_stream(3, "noise-worker-0")
-        draws = np.array([np.sum(noise.sample(7, rng) ** 2) for _ in range(20000)])
+        draws = np.sum(noise.sample((20000, 7), rng) ** 2, axis=1)
         assert draws.mean() == pytest.approx(4.0, rel=0.03)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_a_block_equals_its_rows_drawn_one_at_a_time(self, sigma):
+        noise = NoiseModel(sigma)
+        block = noise.sample((300, 5), named_stream(4, "noise-worker-0"))
+        twin = named_stream(4, "noise-worker-0")
+        rows = np.array([noise.sample(5, twin) for _ in range(300)])
+        assert block.shape == (300, 5)
+        assert np.array_equal(block, rows)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidSpecError):

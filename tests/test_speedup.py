@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from asgdsim import InvalidSpecError
 from asgdsim.speedup import (
     ENUMERATION_BUDGET,
+    MONTE_CARLO_BLOCK,
     SpeedupInput,
     async_time,
     minibatch_time,
@@ -99,6 +101,11 @@ class TestValidation:
         with pytest.raises(InvalidSpecError):
             minibatch_weights(3, 0)
 
+    def test_rejects_speeds_whose_sum_overflows(self):
+        with pytest.raises(InvalidSpecError):
+            SpeedupInput((1e308, 1e308), concurrency=2)
+        assert async_time(SpeedupInput((1e308, 7e307), concurrency=2)) == 8.5e307
+
     def test_oracle_rejects_unknown_method(self):
         inp = SpeedupInput((1.0, 2.0), concurrency=2)
         with pytest.raises(InvalidSpecError):
@@ -133,10 +140,63 @@ class TestOracle:
         assert oracle.stderr > 0
         assert abs(oracle.estimate - minibatch_time(inp)) <= 4 * oracle.stderr
 
+    @pytest.mark.parametrize("method", ["exhaustive", "monte_carlo"])
+    def test_one_client_ignores_concurrency(self, method):
+        # 1^C passes any enumeration budget; the only speed is every batch's maximum
+        one = minibatch_time_oracle(SpeedupInput((3.7,), 1), method=method, seed=4)
+        huge = minibatch_time_oracle(SpeedupInput((3.7,), 10**9), method=method, seed=4)
+        assert huge == one
+
+    def test_sampling_past_the_budget_is_refused(self):
+        # 3^(10^9) must not even be computed on the way to the fallback
+        for deltas in [(1.0, 2.0), (1.0, 2.0, 3.0)]:
+            with pytest.raises(InvalidSpecError, match="rank draws"):
+                minibatch_time_oracle(SpeedupInput(deltas, 10**9), method="exhaustive")
+
     def test_single_sample_stderr_is_infinite(self):
         inp = SpeedupInput((1.0, 2.0), concurrency=2)
         oracle = minibatch_time_oracle(inp, method="monte_carlo", samples=1)
         assert math.isinf(oracle.stderr)
+
+
+def one_shot_oracle(inp, samples, seed):
+    """The Monte Carlo estimate from one (samples, concurrency) draw of ranks."""
+    deltas = np.asarray(inp.deltas)
+    rng = np.random.default_rng(seed)
+    draws = deltas[rng.integers(0, inp.n_clients, size=(samples, inp.concurrency))].max(axis=1)
+    stderr = float(draws.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+    return float(draws.mean()), stderr
+
+
+WIDE = MONTE_CARLO_BLOCK // 2 + 1  # one row per block
+WIDER = MONTE_CARLO_BLOCK + 5  # one row spans two blocks
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("n", [1, 2, 7, 199])
+    @pytest.mark.parametrize("c", [1, 3, 63, WIDE, WIDER])
+    def test_blocks_have_the_bits_of_one_draw(self, n, c):
+        inp = SpeedupInput(tuple(np.linspace(1.0, 9.0, n) ** 1.5), concurrency=c)
+        rows = max(1, MONTE_CARLO_BLOCK // c)
+        if c < WIDE:
+            sample_counts = {1, 2, rows - 1, rows, rows + 1, 10**5}
+        else:
+            sample_counts = {1, 2, 3}
+        for samples in sorted(sample_counts):
+            oracle = minibatch_time_oracle(inp, method="monte_carlo", samples=samples,
+                                           seed=samples + c)
+            expected = one_shot_oracle(inp, samples, samples + c)
+            assert (oracle.estimate, oracle.stderr) == expected, (n, c, samples)
+
+    def test_memory_is_the_draws_plus_one_block(self):
+        inp = SpeedupInput(tuple(np.linspace(1.0, 50.0, 200)), concurrency=63)
+        tracemalloc.start()
+        try:
+            minibatch_time_oracle(inp, method="monte_carlo", samples=10**5, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 speed_lists = st.lists(
