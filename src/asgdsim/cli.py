@@ -75,10 +75,71 @@ from .stepsize import (
 # configuration
 
 
-TIME_MODELS = {
-    "constant": (ConstantTime, ("delta",)),
-    "lognormal": (LogNormalTime, ("mu", "sigma")),
-    "straggler": (StragglerTime, ("delta", "slow_factor", "straggle_prob")),
+# key tables, read by ``_block``: key -> (kind, default, bound); the flags share the bounds
+REQUIRED = object()
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+POSITIVE = (lambda v: v > 0, "must be positive")
+AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+NUMBER, INTEGER, OBJECT = (float, REQUIRED, None), (int, REQUIRED, None), (dict, REQUIRED, None)
+
+CONFIG_KEYS = {
+    "seed": (int, 0, NON_NEGATIVE),
+    "objective": OBJECT,
+    "workers": (list, REQUIRED, (len, "must describe at least one worker")),
+    "policy": OBJECT,
+    "stop": OBJECT,
+    "noise_sigma": (float, 0.0, NON_NEGATIVE),
+    "stepsize": (dict, None, None),
+    "tuning": (dict, None, None),
+    "x0": (list, None, None),
+    "replicas": (int, 1, AT_LEAST_1),
+}
+SEED = {"seed": (int, None, NON_NEGATIVE)}  # defaults to the config's seed
+QUADRATIC = {"dim": INTEGER, "lambda_min": NUMBER, "lambda_max": NUMBER} | SEED
+OBJECTIVES = {
+    "quadratic": QUADRATIC,
+    "logistic": {"n_samples": INTEGER, "dim": INTEGER} | SEED,
+    "heterogeneous": QUADRATIC | {"n_clients": INTEGER, "zeta": NUMBER},
+}
+TIME_MODELS = {"constant": ConstantTime, "lognormal": LogNormalTime, "straggler": StragglerTime}
+# a worker group gives every field of its time model, all numbers, and its count
+WORKER_KEYS = {time: {f.name: NUMBER for f in fields(make)} | {"count": (int, 1, AT_LEAST_1)}
+               for time, make in TIME_MODELS.items()}
+POLICIES = {
+    "max_concurrency": {},
+    "minibatch": {"batch_size": (int, None, None)},  # must equal the fleet size
+    "sampled_minibatch": {"batch_size": (int, REQUIRED, AT_LEAST_1)},
+    "uniform_client_sampling": {"concurrency": (int, REQUIRED, AT_LEAST_1)},
+}
+STOP_KEYS = {
+    "max_iterations": (int, REQUIRED, AT_LEAST_1),
+    "grad_tol": (float, None, NON_NEGATIVE),
+    "last_k_tol": (float, None, NON_NEGATIVE),
+    "last_k": (int, None, AT_LEAST_1),
+    # a non-positive threshold calls the first iterate diverged
+    "diverge_above": (float, None, POSITIVE),
+    "require_quiescent": (bool, None, None),
+    "stall_window": (int, None, AT_LEAST_1),
+    # a relative drop of 1 or more would call every run stalled
+    "stall_improvement": (float, None, (lambda v: 0 <= v < 1, "must lie in [0, 1)")),
+}
+ETA = (float, None, None)  # checked by the rule; tune supplies it when it is left out
+LIPSCHITZ = (float, None, POSITIVE)  # defaults to the objective's smoothness
+CONCURRENCY = (int, None, AT_LEAST_1)  # defaults to the policy's
+STEPSIZES = {
+    "constant": {"eta": ETA},
+    "delay_adaptive": {"eta": ETA, "lipschitz": LIPSCHITZ, "concurrency": CONCURRENCY,
+                       "mode": (str, None, None)},
+    "theoretical": {"lipschitz": LIPSCHITZ, "max_delay": (float, None, POSITIVE),
+                    "concurrency": CONCURRENCY, "initial_gap": (float, None, NON_NEGATIVE)},
+}
+TUNING_KEYS = {
+    "criterion": (str, TUNING_CRITERIA[0],
+                  (TUNING_CRITERIA.__contains__, f"must be one of {list(TUNING_CRITERIA)}")),
+    "values": (list, None, (len, "must be a non-empty list")),
+    "points_per_decade": (int, None, AT_LEAST_1),
+    "low": (float, None, POSITIVE),
+    "high": (float, None, None),
 }
 
 
@@ -87,28 +148,53 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise InvalidConfigError(f"{path}: {message}")
 
 
-def _value(value, path: str, kinds):
-    if kinds is float and isinstance(value, int) and not isinstance(value, bool):
+def _value(value, path: str, kind, bound=None):
+    """``value`` as a ``kind`` (an int stands in for a float), finite and within ``bound``."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    _expect(isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)),
-            path, f"expected {kinds}, got {type(value).__name__}")
+    _expect(isinstance(value, kind) and (kind is bool or not isinstance(value, bool)),
+            path, f"expected {kind.__name__}, got {type(value).__name__}")
     _expect(not isinstance(value, float) or math.isfinite(value),
             path, f"must be finite, got {value}")
+    if bound is not None:
+        ok, rule = bound
+        _expect(ok(value), path, f"{rule}, got {value!r}")
     return value
 
 
-def _field(data: dict, key: str, path: str, kinds, required: bool = True, default=None):
-    if key not in data or data[key] is None:
-        _expect(not required, f"{path}.{key}", "is required")
-        return default
-    return _value(data[key], f"{path}.{key}", kinds)
+def _block(spec, path: str, keys: dict) -> dict:
+    """The config object ``spec`` at ``path``, read through the key table ``keys``.
+
+    A key outside the table is refused.  A missing (or null) key is refused when its default
+    is ``REQUIRED`` and left out when it is None, so that what the block builds keeps its own.
+    """
+    _expect(isinstance(spec, dict), path, "must be a JSON object")
+    unknown = sorted(set(spec) - set(keys))
+    _expect(not unknown, path, f"unknown keys {unknown}")
+    out = {}
+    for key, (kind, default, bound) in keys.items():
+        if spec.get(key) is not None:
+            out[key] = _value(spec[key], f"{path}.{key}", kind, bound)
+        elif default is REQUIRED:
+            raise InvalidConfigError(f"{path}.{key}: is required")
+        elif default is not None:
+            out[key] = default
+    return out
+
+
+def _kind(spec, path: str, tag: str, tables: dict) -> tuple[str, dict]:
+    """``spec[tag]``, and the rest of ``spec`` read through the key table of that kind."""
+    _expect(isinstance(spec, dict), path, "must be a JSON object")
+    one_of = (tables.__contains__, f"must be one of {list(tables)}")
+    kind = _block({tag: spec.get(tag)}, path, {tag: (str, REQUIRED, one_of)})[tag]
+    return kind, _block({k: v for k, v in spec.items() if k != tag}, path, tables[kind])
 
 
 def _at(path: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with ``path`` in front of the message of a domain error."""
     try:
         return make(*args, **kwargs)
-    except (InvalidConfigError, InvalidSpecError, np.linalg.LinAlgError) as exc:
+    except (InvalidConfigError, InvalidSpecError, np.linalg.LinAlgError, MemoryError) as exc:
         raise InvalidConfigError(f"{path}: {exc}") from exc
 
 
@@ -130,191 +216,104 @@ class ExperimentConfig(NamedTuple):
     criterion: str
     stepsize: object  # None when the stepsize block leaves eta to ``tune``
 
-    KEYS = ("seed", "objective", "workers", "policy", "stop", "noise_sigma",
-            "stepsize", "tuning", "x0", "replicas")
-
     @classmethod
-    def from_dict(cls, data: dict, path: str = "config") -> "ExperimentConfig":
-        _expect(isinstance(data, dict), path, "must be a JSON object")
-        unknown = sorted(set(data) - set(cls.KEYS))
-        _expect(not unknown, path, f"unknown keys {unknown}")
-        seed = _field(data, "seed", path, int, required=False, default=0)
-        _expect(seed >= 0, f"{path}.seed", "must be non-negative")
-        objective = _field(data, "objective", path, dict)
-        workers = _field(data, "workers", path, list)
-        policy = _field(data, "policy", path, dict)
-        stop = _field(data, "stop", path, dict)
-        sigma = _field(data, "noise_sigma", path, float, required=False, default=0.0)
-        _expect(sigma >= 0, f"{path}.noise_sigma", "must be non-negative")
-        stepsize = _field(data, "stepsize", path, dict, required=False)
-        tuning = _field(data, "tuning", path, dict, required=False)
-        x0 = _field(data, "x0", path, list, required=False)
-        replicas = _field(data, "replicas", path, int, required=False, default=1)
-        _expect(replicas >= 1, f"{path}.replicas", "must be at least 1")
-        _expect(stepsize is not None or tuning is not None, path,
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        data = _block(data, "config", CONFIG_KEYS)
+        _expect("stepsize" in data or "tuning" in data, "config",
                 "needs a stepsize block (or a tuning block for the tune command)")
-        values = (seed, objective, workers, policy, stop, sigma, stepsize, tuning, x0, replicas)
-        filled = {key: value for key, value in zip(cls.KEYS, values) if value is not None}
-
-        problem = _build_objective(objective, seed)
-        fleet = _build_workers(workers)
-        schedule = _build_policy(policy, len(fleet))
+        problem = _build_objective(data["objective"], data["seed"])
+        fleet = _build_workers(data["workers"])
+        schedule = _build_policy(data["policy"], len(fleet))
         if isinstance(problem, HeterogeneousFamily):
-            _expect(isinstance(schedule, UniformClientSampling), f"{path}.policy",
+            _expect(isinstance(schedule, UniformClientSampling), "config.policy",
                     "heterogeneous objectives run under uniform_client_sampling")
-            _expect(len(fleet) == problem.n_clients, f"{path}.workers",
+            _expect(len(fleet) == problem.n_clients, "config.workers",
                     f"need exactly {problem.n_clients} workers, one per client")
-        start = np.zeros(problem.dim)
-        if x0 is not None:
-            _expect(len(x0) == problem.dim, f"{path}.x0",
-                    f"length {len(x0)} does not match objective dimension {problem.dim}")
-            start = np.array([_value(v, f"{path}.x0[{i}]", float) for i, v in enumerate(x0)])
-        grid, criterion = _build_tuning(tuning or {})
-        cfg = cls(filled, problem, fleet, schedule, _build_stop(stop), NoiseModel(sigma),
+        x0 = data.get("x0", [0.0] * problem.dim)
+        _expect(len(x0) == problem.dim, "config.x0",
+                f"length {len(x0)} does not match objective dimension {problem.dim}")
+        start = np.array([_value(v, f"config.x0[{i}]", float) for i, v in enumerate(x0)])
+        grid, criterion = _build_tuning(data.get("tuning", {}))
+        stop = _at("config.stop", StopRule, **_block(data["stop"], "config.stop", STOP_KEYS))
+        cfg = cls(data, problem, fleet, schedule, stop, NoiseModel(data["noise_sigma"]),
                   start, grid, criterion, None)
-        if stepsize is not None:
-            # tune supplies eta itself: a block without one is checked at a grid value
-            tuned = stepsize.get("eta") is None and stepsize.get("kind") != "theoretical"
-            rule = cfg.build_stepsize(grid[0] if tuned else None)
-            cfg = cfg if tuned else cfg._replace(stepsize=rule)
+        if "stepsize" in data:
+            cfg = cfg._replace(stepsize=cfg.build_stepsize())
+            if cfg.stepsize is None:  # tune supplies eta: check the block at a grid value
+                cfg.build_stepsize(grid[0])
         return cfg
 
     def build_stepsize(self, eta: Optional[float] = None):
-        """The configured stepsize rule, with base stepsize ``eta`` when one is given."""
+        """The configured stepsize rule at ``eta``, else at the block's eta; None without one."""
         path = "config.stepsize"
-        spec = self.data.get("stepsize")
-        _expect(spec is not None, path, "is required to run")
-        kind = _field(spec, "kind", path, str)
+        kind, keys = _kind(self.data["stepsize"], path, "kind", STEPSIZES)
         # the policy's own concurrency: its jobs in flight, its batch size or the fleet
-        concurrency = _field(spec, "concurrency", path, int, required=False,
-                             default=getattr(self.policy, "concurrency",
-                                             getattr(self.policy, "batch_size",
-                                                     len(self.workers))))
-        lipschitz = _field(spec, "lipschitz", path, float, required=False,
-                           default=self.objective.smoothness)
-        if kind == "constant":
-            return _at(path, ConstantStepsize,
-                       eta if eta is not None else _field(spec, "eta", path, float))
-        if kind == "delay_adaptive":
-            return _at(path, DelayAdaptiveStepsize,
-                       eta if eta is not None else _field(spec, "eta", path, float),
-                       lipschitz, concurrency,
-                       _field(spec, "mode", path, str, required=False, default="scale"))
+        concurrency = keys.pop("concurrency", getattr(
+            self.policy, "concurrency", getattr(self.policy, "batch_size", len(self.workers))))
+        lipschitz = keys.pop("lipschitz", self.objective.smoothness)
         if kind == "theoretical":
             _expect(eta is None, path, "the theoretical stepsize cannot be grid-tuned")
-            gap = _field(spec, "initial_gap", path, float, required=False)
-            return _at(
-                path, TheoreticalConstantStepsize,
-                lipschitz=lipschitz,
-                max_delay=_field(spec, "max_delay", path, float, required=False,
-                                 default=float(concurrency)),
-                concurrency=float(concurrency),
-                sigma=self.noise.sigma,
-                initial_gap=gap if gap is not None else self.objective.value(self.x0),
-                horizon=self.stop.max_iterations,
-            )
-        raise InvalidConfigError(f"{path}.kind: unknown stepsize {kind!r}")
+            keys = {"max_delay": float(concurrency),
+                    "initial_gap": self.objective.value(self.x0)} | keys
+            return _at(path, TheoreticalConstantStepsize, lipschitz=lipschitz,
+                       concurrency=float(concurrency), sigma=self.noise.sigma,
+                       horizon=self.stop.max_iterations, **keys)
+        if eta is not None:
+            keys["eta"] = eta
+        if "eta" not in keys:
+            return None
+        if kind == "constant":
+            return _at(path, ConstantStepsize, **keys)
+        return _at(path, DelayAdaptiveStepsize, lipschitz=lipschitz, concurrency=concurrency,
+                   **keys)
 
 
 def _build_objective(spec: dict, default_seed: int):
     path = "config.objective"
-    family = _field(spec, "family", path, str)
-    seed = _field(spec, "seed", path, int, required=False, default=default_seed)
+    family, keys = _kind(spec, path, "family", OBJECTIVES)
+    seed = keys.get("seed", default_seed)
     if family == "logistic":
-        return _at(path, make_logistic, _field(spec, "n_samples", path, int),
-                   _field(spec, "dim", path, int), seed)
-    _expect(family in ("quadratic", "heterogeneous"), f"{path}.family",
-            f"unknown family {family!r}")
-    quadratic = _at(path, make_quadratic, _field(spec, "dim", path, int),
-                    _field(spec, "lambda_min", path, float),
-                    _field(spec, "lambda_max", path, float), seed)
+        return _at(path, make_logistic, keys["n_samples"], keys["dim"], seed)
+    quadratic = _at(path, make_quadratic, keys["dim"], keys["lambda_min"], keys["lambda_max"], seed)
     if family == "quadratic":
         return quadratic
-    return _at(path, make_heterogeneous, quadratic, _field(spec, "n_clients", path, int),
-               _field(spec, "zeta", path, float), seed + 1)
+    return _at(path, make_heterogeneous, quadratic, keys["n_clients"], keys["zeta"], seed + 1)
 
 
 def _build_workers(items: list) -> list:
     out = []
     for idx, item in enumerate(items):
         path = f"config.workers[{idx}]"
-        _expect(isinstance(item, dict), path, "must be an object")
-        count = _field(item, "count", path, int, required=False, default=1)
-        _expect(count >= 1, f"{path}.count", "must be at least 1")
-        kind = _field(item, "time", path, str)
-        _expect(kind in TIME_MODELS, f"{path}.time", f"unknown model {kind!r}")
-        make, keys = TIME_MODELS[kind]
-        model = _at(path, make, *(_field(item, key, path, float) for key in keys))
-        out.extend([model] * count)
-    _expect(len(out) >= 1, "config.workers", "must describe at least one worker")
+        time, keys = _kind(item, path, "time", WORKER_KEYS)
+        count = keys.pop("count")
+        out.extend([_at(path, TIME_MODELS[time], **keys)] * count)
     return out
 
 
 def _build_policy(spec: dict, n_workers: int):
     path = "config.policy"
-    kind = _field(spec, "kind", path, str)
-    if kind == "max_concurrency":
-        return MaxConcurrency()
+    kind, keys = _kind(spec, path, "kind", POLICIES)
     if kind == "minibatch":
-        size = _field(spec, "batch_size", path, int, required=False, default=n_workers)
+        size = keys.pop("batch_size", n_workers)
         _expect(size == n_workers, f"{path}.batch_size",
                 f"must equal the fleet size {n_workers}, got {size}")
-        return MiniBatch()
-    if kind == "sampled_minibatch":
-        size = _field(spec, "batch_size", path, int)
-        return _at(f"{path}.batch_size", SampledMiniBatch, size)
-    if kind == "uniform_client_sampling":
-        concurrency = _field(spec, "concurrency", path, int)
-        return _at(f"{path}.concurrency", UniformClientSampling, concurrency)
-    raise InvalidConfigError(f"{path}.kind: unknown policy {kind!r}")
-
-
-def _build_stop(spec: dict) -> StopRule:
-    path = "config.stop"
-    tolerances = {key: _field(spec, key, path, float, required=False)
-                  for key in ("grad_tol", "last_k_tol")}
-    for key, tol in tolerances.items():
-        _expect(tol is None or tol >= 0, f"{path}.{key}", f"must be non-negative, got {tol}")
-    diverge_above = _field(spec, "diverge_above", path, float, required=False, default=1e100)
-    _expect(diverge_above > 0, f"{path}.diverge_above",
-            f"must be positive, got {diverge_above}")
-    improvement = _field(spec, "stall_improvement", path, float, required=False, default=1e-3)
-    # a relative drop of 1 or more would call every run stalled
-    _expect(0 <= improvement < 1, f"{path}.stall_improvement",
-            f"must lie in [0, 1), got {improvement}")
-    return _at(
-        path, StopRule,
-        max_iterations=_field(spec, "max_iterations", path, int),
-        **tolerances,
-        last_k=_field(spec, "last_k", path, int, required=False, default=30),
-        diverge_above=diverge_above,
-        require_quiescent=_field(spec, "require_quiescent", path, bool,
-                                 required=False, default=False),
-        stall_window=_field(spec, "stall_window", path, int, required=False),
-        stall_improvement=improvement,
-    )
+    makers = {"max_concurrency": MaxConcurrency, "minibatch": MiniBatch,
+              "sampled_minibatch": SampledMiniBatch,
+              "uniform_client_sampling": UniformClientSampling}
+    return _at(path, makers[kind], **keys)
 
 
 def _build_tuning(spec: dict) -> tuple[list[float], str]:
     """The stepsize grid and the criterion of a tuning block."""
     path = "config.tuning"
-    criterion = _field(spec, "criterion", path, str, required=False, default="min_T_to_eps")
-    _expect(criterion in TUNING_CRITERIA, f"{path}.criterion",
-            f"must be one of {list(TUNING_CRITERIA)}, got {criterion!r}")
-    values = _field(spec, "values", path, list, required=False)
-    if values is not None:
-        _expect(len(values) > 0, f"{path}.values", "must be a non-empty list")
-        grid = [_value(v, f"{path}.values[{i}]", float) for i, v in enumerate(values)]
-        for i, eta in enumerate(grid):
-            _expect(eta > 0, f"{path}.values[{i}]", f"must be positive, got {eta}")
-        return grid, criterion
-    points = _field(spec, "points_per_decade", path, int, required=False, default=4)
-    low = _field(spec, "low", path, float, required=False, default=1e-5)
-    high = _field(spec, "high", path, float, required=False, default=1e2)
-    _expect(points >= 1, f"{path}.points_per_decade", f"must be at least 1, got {points}")
-    _expect(low > 0, f"{path}.low", f"must be positive, got {low}")
-    _expect(high > low, f"{path}.high", f"must exceed low ({low}), got {high}")
-    return default_log_grid(points, low, high), criterion
+    keys = _block(spec, path, TUNING_KEYS)
+    criterion, values = keys.pop("criterion"), keys.pop("values", None)
+    if values is None:
+        return _at(path, default_log_grid, **keys), criterion
+    grid = [_value(v, f"{path}.values[{i}]", float, POSITIVE) for i, v in enumerate(values)]
+    for i, eta in enumerate(grid):
+        _expect(eta not in grid[:i], f"{path}.values[{i}]", f"repeats the value {eta}")
+    return grid, criterion
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -652,23 +651,23 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
-# numeric flags with a bounded domain, checked before any command runs:
-# destination -> (flag, test, what the test asks)
+# numeric flags checked before any command runs: destination -> (flag, bound)
 FLAG_BOUNDS = {
-    "seed": ("--seed", lambda v: v >= 0, "must be non-negative"),
-    "epsilon": ("--epsilon", lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
-    "max_iterations": ("--max-iterations", lambda v: v >= 1, "must be at least 1"),
-    "points_per_decade": ("--points-per-decade", lambda v: v >= 1, "must be at least 1"),
-    "mc_samples": ("--mc-samples", lambda v: v >= 2, "must be at least 2"),
-    "concurrency": ("--concurrency", lambda v: v >= 1, "must be at least 1"),
-    "fuzz_configs": ("--fuzz-configs", lambda v: v >= 1, "must be at least 1"),
+    "seed": ("--seed", NON_NEGATIVE),
+    "epsilon": ("--epsilon", NON_NEGATIVE),
+    "max_iterations": ("--max-iterations", AT_LEAST_1),
+    "points_per_decade": ("--points-per-decade", AT_LEAST_1),
+    "mc_samples": ("--mc-samples", (lambda v: v >= 2, "must be at least 2")),
+    "concurrency": ("--concurrency", AT_LEAST_1),
+    "fuzz_configs": ("--fuzz-configs", AT_LEAST_1),
 }
 
 
 def _check_flags(args) -> None:
-    for dest, (flag, ok, rule) in FLAG_BOUNDS.items():
+    for dest, (flag, bound) in FLAG_BOUNDS.items():
         value = getattr(args, dest, None)
-        _expect(value is None or ok(value), flag, f"{rule}, got {value}")
+        if value is not None:
+            _value(value, flag, type(value), bound)
 
 
 class _Parser(argparse.ArgumentParser):

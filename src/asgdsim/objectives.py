@@ -213,8 +213,8 @@ class NoiseModel:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidSpecError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidSpecError(f"sigma must be finite and non-negative, got {self.sigma}")
 
     def sample(self, size: int | tuple[int, int], rng: np.random.Generator) -> Array:
         """One draw of ``dim`` coordinates, or with ``size=(rows, dim)`` that many

@@ -36,8 +36,8 @@ class ConstantStepsize:
     eta: float
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise InvalidSpecError(f"eta must be non-negative, got {self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise InvalidSpecError(f"eta must be finite and non-negative, got {self.eta}")
 
     def at(self, t: int, delay: int) -> float:
         return self.eta
@@ -53,10 +53,10 @@ class DelayAdaptiveStepsize:
     mode: str = "scale"
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise InvalidSpecError(f"eta must be positive, got {self.eta}")
-        if self.lipschitz <= 0:
-            raise InvalidSpecError(f"lipschitz must be positive, got {self.lipschitz}")
+        if not 0 < self.eta < math.inf:
+            raise InvalidSpecError(f"eta must be finite and positive, got {self.eta}")
+        if not 0 < self.lipschitz < math.inf:
+            raise InvalidSpecError(f"lipschitz must be finite and positive, got {self.lipschitz}")
         if self.concurrency < 1:
             raise InvalidSpecError(f"concurrency must be at least 1, got {self.concurrency}")
         if self.mode not in ("scale", "drop"):
@@ -203,8 +203,8 @@ def grid_tune(
     if criterion not in TUNING_CRITERIA:
         raise InvalidSpecError(f"unknown tuning criterion {criterion!r}")
     grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise InvalidSpecError("tuning grid must be non-empty")
+    if not grid or len(set(grid)) < len(grid):
+        raise InvalidSpecError(f"tuning grid must be non-empty and hold no point twice, got {grid}")
 
     points: dict[float, TunePoint] = {}
     best_eta = None

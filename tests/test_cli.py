@@ -152,6 +152,12 @@ BAD_EXAMPLES = {
         "config.stop.stall_improvement"),
     "negative_stall_improvement": (lambda d: d["stop"].update(stall_improvement=-0.1),
                                    "config.stop.stall_improvement"),
+    # a repeated point would overwrite its first copy in the tuning report
+    "repeated_tuning_value": (lambda d: d["tuning"].update(values=[0.1, 0.3, 0.1]),
+                              "config.tuning.values[2]"),
+    # 10^14 doubles (727 TiB) exceed a 64-bit address space: numpy refuses before allocating
+    "objective_too_large_to_allocate": (lambda d: d["objective"].update(dim=10**7),
+                                        "config.objective"),
 }
 
 
@@ -208,6 +214,90 @@ MUTATIONS = [
     pytest.param(("stop", "require_quiescent"), bad, id=f"stop.require_quiescent={bad!r}")
     for bad in ("false", 1)
 ]
+
+
+# one valid config per kind of every block that has kinds, each with all of its keys
+KIND_CONFIGS = {
+    "quadratic": tiny_config(
+        stop={"max_iterations": 60, "grad_tol": 1e-9, "last_k_tol": 1e-9, "last_k": 5,
+              "diverge_above": 1e9, "require_quiescent": True, "stall_window": 50,
+              "stall_improvement": 0.01},
+        tuning={"criterion": "min_final_error", "values": [0.1, 0.2]},
+        noise_sigma=0.0, x0=[0.0, 1.0, 0.0], replicas=1),
+    "logistic": tiny_config(objective={"family": "logistic", "n_samples": 20, "dim": 3,
+                                       "seed": 1}),
+    "heterogeneous": tiny_config(
+        objective={"family": "heterogeneous", "dim": 3, "lambda_min": 1.0, "lambda_max": 2.0,
+                   "n_clients": 2, "zeta": 0.5, "seed": 2},
+        policy={"kind": "uniform_client_sampling", "concurrency": 2}),
+    "lognormal": tiny_config(workers=[{"time": "lognormal", "mu": 0.0, "sigma": 0.5,
+                                       "count": 2}]),
+    "straggler": tiny_config(workers=[{"time": "straggler", "delta": 1.0, "slow_factor": 4.0,
+                                       "straggle_prob": 0.1, "count": 1},
+                                      {"time": "constant", "delta": 2.0, "count": 1}]),
+    "minibatch": tiny_config(policy={"kind": "minibatch", "batch_size": 2}),
+    "sampled_minibatch": tiny_config(policy={"kind": "sampled_minibatch", "batch_size": 3}),
+    "delay_adaptive": tiny_config(stepsize={"kind": "delay_adaptive", "eta": 0.1,
+                                            "lipschitz": 4.0, "concurrency": 2, "mode": "drop"}),
+    "theoretical": tiny_config(stepsize={"kind": "theoretical", "lipschitz": 4.0,
+                                         "max_delay": 2.0, "concurrency": 2,
+                                         "initial_gap": 1.0}),
+    "log_grid": tiny_config(tuning={"criterion": "min_T_to_eps", "low": 0.01, "high": 1.0,
+                                    "points_per_decade": 2}),
+}
+
+
+def _objects(node, where=()):
+    """Key paths of every JSON object in a parsed JSON document, the document first."""
+    if isinstance(node, dict):
+        yield where
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from _objects(value, where + (key,))
+
+
+# keys that one kind of a block reads and another does not, and misspelt keys that
+# used to run as if they were absent: (config, block, key, value)
+OTHER_KIND_KEYS = {
+    "mode_on_constant_stepsize": ("quadratic", ("stepsize",), "mode", "drop"),
+    "concurrency_on_max_concurrency": ("quadratic", ("policy",), "concurrency", 2),
+    "zeta_on_quadratic": ("quadratic", ("objective",), "zeta", 0.5),
+    "n_samples_on_quadratic": ("quadratic", ("objective",), "n_samples", 20),
+    "lambda_min_on_logistic": ("logistic", ("objective",), "lambda_min", 1.0),
+    "delta_on_lognormal": ("lognormal", ("workers", 0), "delta", 1.0),
+    "eta_on_theoretical": ("theoretical", ("stepsize",), "eta", 0.1),
+    "batch_size_on_uniform_client_sampling": ("heterogeneous", ("policy",), "batch_size", 2),
+    "grad_tl_in_stop": ("quadratic", ("stop",), "grad_tl", 1e-3),
+    "cout_in_workers": ("quadratic", ("workers", 0), "cout", 9),
+    "mod_on_delay_adaptive": ("delay_adaptive", ("stepsize",), "mod", "drop"),
+}
+
+KEY_OUTSIDE_THE_TABLE = [
+    pytest.param(name, where, "bogus_key", 1, id=f"{name}:config{_label(where)}")
+    for name, data in KIND_CONFIGS.items() for where in _objects(data)
+] + [pytest.param(*case, id=label) for label, case in OTHER_KIND_KEYS.items()]
+
+
+class TestUnknownKeys:
+    """Every JSON object of a config refuses a key outside its table."""
+
+    @pytest.mark.parametrize("name", sorted(KIND_CONFIGS))
+    def test_every_kind_loads_with_all_its_keys(self, name):
+        ExperimentConfig.from_dict(KIND_CONFIGS[name])
+
+    @pytest.mark.parametrize("name,where,key,value", KEY_OUTSIDE_THE_TABLE)
+    def test_key_outside_the_table_exits_1_naming_the_block(self, name, where, key, value,
+                                                            tmp_path, capsys):
+        data = json.loads(json.dumps(KIND_CONFIGS[name]))
+        block = data
+        for step in where:
+            block = block[step]
+        block[key] = value
+        assert main(["simulate", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid configuration: config{_label(where)}: unknown keys ['{key}']" in err, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigMutations:

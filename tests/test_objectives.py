@@ -138,6 +138,11 @@ class TestNoise:
         with pytest.raises(InvalidSpecError):
             NoiseModel(-0.1)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidSpecError):
+            NoiseModel(sigma)
+
 
 class TestFiniteDifferences:
     @pytest.mark.parametrize("maker,dim", [

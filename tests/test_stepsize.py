@@ -27,6 +27,11 @@ class TestConstant:
         with pytest.raises(InvalidSpecError):
             ConstantStepsize(-1e-3)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_rejected(self, eta):
+        with pytest.raises(InvalidSpecError):
+            ConstantStepsize(eta)
+
 
 class TestDelayAdaptive:
     def test_fresh_gradients_keep_base_stepsize(self):
@@ -59,6 +64,13 @@ class TestDelayAdaptive:
     def test_bad_mode_rejected(self):
         with pytest.raises(InvalidSpecError):
             DelayAdaptiveStepsize(0.1, 1.0, 1, mode="clip")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["eta", "lipschitz"])
+    def test_non_finite_eta_or_lipschitz_rejected(self, field, bad):
+        with pytest.raises(InvalidSpecError, match=field):
+            DelayAdaptiveStepsize(**({"eta": 0.1, "lipschitz": 1.0, "concurrency": 1}
+                                     | {field: bad}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,6 +231,13 @@ class TestGridTune:
 
         result = grid_tune(run, [0.1, 1.0], criterion="min_final_error")
         assert result.best_eta == 1.0
+
+    def test_repeated_point_rejected(self):
+        # a second copy would overwrite the first in the report under another budget
+        run, calls = synthetic_runner(lambda e: 10)
+        with pytest.raises(InvalidSpecError, match="twice"):
+            grid_tune(run, [0.1, 0.3, 0.1])
+        assert calls == []
 
     def test_unknown_criterion_rejected(self):
         run, _ = synthetic_runner(lambda e: 1)
