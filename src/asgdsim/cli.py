@@ -59,6 +59,7 @@ from .report import (
     write_json,
 )
 from .stepsize import (
+    MAX_GRID_POINTS,
     TUNING_CRITERIA,
     ConstantStepsize,
     DelayAdaptiveStepsize,
@@ -80,7 +81,15 @@ REQUIRED = object()
 NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 POSITIVE = (lambda v: v > 0, "must be positive")
 AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
-NUMBER, INTEGER, OBJECT = (float, REQUIRED, None), (int, REQUIRED, None), (dict, REQUIRED, None)
+GRID_DENSITY = (lambda v: 1 <= v <= MAX_GRID_POINTS, f"must lie in [1, {MAX_GRID_POINTS}]")
+NUMBER, OBJECT = (float, REQUIRED, None), (dict, REQUIRED, None)
+# Counts are bounded before anything is built from them.  A fleet (workers, clients, jobs handed
+# out at once, --deltas speeds) is at most 100 times the largest used here; each worker owns a
+# noise stream of about 1.7 KB.  A dim or sample count is at most 10^8 (a quadratic of that dim
+# has 10^16 entries): numpy refuses the largest shapes with an error that names no field.
+MAX_FLEET = 100_000
+FLEET_SIZE = (int, REQUIRED, (lambda v: 1 <= v <= MAX_FLEET, f"must lie in [1, {MAX_FLEET}]"))
+SIZE = (int, REQUIRED, (lambda v: v <= 10**8, "must be at most 10^8"))
 
 CONFIG_KEYS = {
     "seed": (int, 0, NON_NEGATIVE),
@@ -95,11 +104,11 @@ CONFIG_KEYS = {
     "replicas": (int, 1, AT_LEAST_1),
 }
 SEED = {"seed": (int, None, NON_NEGATIVE)}  # defaults to the config's seed
-QUADRATIC = {"dim": INTEGER, "lambda_min": NUMBER, "lambda_max": NUMBER} | SEED
+QUADRATIC = {"dim": SIZE, "lambda_min": NUMBER, "lambda_max": NUMBER} | SEED
 OBJECTIVES = {
     "quadratic": QUADRATIC,
-    "logistic": {"n_samples": INTEGER, "dim": INTEGER} | SEED,
-    "heterogeneous": QUADRATIC | {"n_clients": INTEGER, "zeta": NUMBER},
+    "logistic": {"n_samples": SIZE, "dim": SIZE} | SEED,
+    "heterogeneous": QUADRATIC | {"n_clients": FLEET_SIZE, "zeta": NUMBER},
 }
 TIME_MODELS = {"constant": ConstantTime, "lognormal": LogNormalTime, "straggler": StragglerTime}
 # a worker group gives every field of its time model, all numbers, and its count
@@ -108,8 +117,8 @@ WORKER_KEYS = {time: {f.name: NUMBER for f in fields(make)} | {"count": (int, 1,
 POLICIES = {
     "max_concurrency": {},
     "minibatch": {"batch_size": (int, None, None)},  # must equal the fleet size
-    "sampled_minibatch": {"batch_size": (int, REQUIRED, AT_LEAST_1)},
-    "uniform_client_sampling": {"concurrency": (int, REQUIRED, AT_LEAST_1)},
+    "sampled_minibatch": {"batch_size": FLEET_SIZE},
+    "uniform_client_sampling": {"concurrency": FLEET_SIZE},
 }
 STOP_KEYS = {
     "max_iterations": (int, REQUIRED, AT_LEAST_1),
@@ -137,7 +146,7 @@ TUNING_KEYS = {
     "criterion": (str, TUNING_CRITERIA[0],
                   (TUNING_CRITERIA.__contains__, f"must be one of {list(TUNING_CRITERIA)}")),
     "values": (list, None, (len, "must be a non-empty list")),
-    "points_per_decade": (int, None, AT_LEAST_1),
+    "points_per_decade": (int, None, GRID_DENSITY),
     "low": (float, None, POSITIVE),
     "high": (float, None, None),
 }
@@ -151,7 +160,9 @@ def _expect(cond: bool, path: str, message: str) -> None:
 def _value(value, path: str, kind, bound=None):
     """``value`` as a ``kind`` (an int stands in for a float), finite and within ``bound``."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        # an integer past the float range is as infinite as an inf
+        value = float(value) if abs(value) <= sys.float_info.max else (
+            math.inf if value > 0 else -math.inf)
     _expect(isinstance(value, kind) and (kind is bool or not isinstance(value, bool)),
             path, f"expected {kind.__name__}, got {type(value).__name__}")
     _expect(not isinstance(value, float) or math.isfinite(value),
@@ -286,6 +297,7 @@ def _build_workers(items: list) -> list:
         path = f"config.workers[{idx}]"
         time, keys = _kind(item, path, "time", WORKER_KEYS)
         count = keys.pop("count")
+        _expect(len(out) + count <= MAX_FLEET, f"{path}.count", f"makes over {MAX_FLEET} workers")
         out.extend([_at(path, TIME_MODELS[time], **keys)] * count)
     return out
 
@@ -321,7 +333,8 @@ def load_config(path: str) -> ExperimentConfig:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise InvalidConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer of too many digits, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise InvalidConfigError(f"config is not valid JSON: {exc}")
     return ExperimentConfig.from_dict(data)
 
@@ -589,6 +602,7 @@ def _parse_numbers(spec: str, flag: str, counted: bool) -> list[float]:
         _expect(math.isfinite(number) and number > 0, flag,
                 f"{token!r} must be finite and positive")
         _expect(repeat >= 1, flag, f"count in {token!r} must be at least 1")
+        _expect(len(out) + repeat <= MAX_FLEET, flag, f"{token!r} makes over {MAX_FLEET} numbers")
         out.extend([number] * repeat)
     _expect(bool(out), flag, "empty list")
     return out
@@ -656,7 +670,7 @@ FLAG_BOUNDS = {
     "seed": ("--seed", NON_NEGATIVE),
     "epsilon": ("--epsilon", NON_NEGATIVE),
     "max_iterations": ("--max-iterations", AT_LEAST_1),
-    "points_per_decade": ("--points-per-decade", AT_LEAST_1),
+    "points_per_decade": ("--points-per-decade", GRID_DENSITY),
     "mc_samples": ("--mc-samples", (lambda v: v >= 2, "must be at least 2")),
     "concurrency": ("--concurrency", AT_LEAST_1),
     "fuzz_configs": ("--fuzz-configs", AT_LEAST_1),

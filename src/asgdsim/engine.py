@@ -38,12 +38,12 @@ iteration t - 1, given the in-flight job count per worker and the
                              only pick idle workers.
 
 A run has two phases.  Phase 1, the ``Schedule``, owns everything the
-iterate cannot touch and writes the ``DelayLedger``.  Phase 2 consumes it:
-``_run`` for one stepsize, ``run_grid`` for a block of iterates with one row
-per stepsize.  Each keeps the in-flight job vectors by job id, draws noise
-at hand-out and takes its stop verdicts from one ``StopTracker`` per run or
-column.  The conservation fuzz in ``verify`` runs phase 1 alone: the code
-that writes every run's ledger.
+iterate cannot touch and writes the ``DelayLedger``.  Phase 2, ``_lockstep``,
+consumes it with one column per stepsize: a single run is one column, and
+``run_grid`` runs a tuning grid as one column per point.  It keeps the
+in-flight jobs by job id, draws noise at hand-out and takes each column's
+stop verdicts from its own ``StopTracker``.  The conservation fuzz in
+``verify`` runs phase 1 alone: the code that writes every run's ledger.
 """
 
 from __future__ import annotations
@@ -534,54 +534,134 @@ def _in_flight(noise: NoiseModel, n: int, dim: int, shifts, master_seed: int):
     return jobs, hand_out
 
 
-def _run(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
-         x0: Array, stop: StopRule, master_seed: int) -> RunTrace:
+def _norm(grad: Array) -> float:
+    return math.sqrt(float(np.dot(grad, grad)))
+
+
+def _lockstep(objective, noise: NoiseModel, workers: Sequence, policy, rules: Sequence,
+              x0: Array, stop: StopRule, master_seed: int, dominance: bool = False,
+              record: Optional[tuple[list, list]] = None):
+    """Phase 2: one stepsize rule per column, in lockstep over one ``Schedule``.
+
+    The iterate is a (columns, dim) block and every in-flight job carries one
+    gradient row per running column; a column that stops leaves the block and
+    every job.  One column keeps the iterate, the gradient and the jobs as
+    vectors and eta as a float: the step kernels, picked whenever the column
+    count changes, give every row the bits of ``value_and_gradient``.
+
+    ``dominance`` applies ``grid_tune``'s ``min_T_to_eps`` budgets (columns
+    largest stepsize first): a column that reaches the target at step T stops
+    every later one still running by a cap at T - 1.  ``record`` (one column)
+    is a pair of lists that collects eta per step and the value per iterate.
+
+    Returns the schedule and per column ``(end, verdict, norms, x)``: the stop
+    step and verdict, the gradient norms up to ``end`` (the last
+    ``ERROR_WINDOW`` at least, all under ``record``) and the last iterate.
+    """
     x, shifts = _start_point(objective, workers, x0)
     schedule = Schedule(workers, policy, master_seed)
+    if not rules:
+        return schedule, []
+    cols, rules = list(range(len(rules))), list(rules)  # the column of each row
+    finished = [None] * len(cols)
     jobs, hand_out = _in_flight(noise, len(workers), x.shape[0], shifts, master_seed)
-
-    t = 0
-    value, grad = objective.value_and_gradient(x)
-    grad_norm = math.sqrt(float(np.dot(grad, grad)))
-
-    col_eta, col_grad_norm, col_value = [], [], []  # the iterate columns of the trace
-    tracker = stop.tracker(grad_norm)
+    t, row = 0, 0  # row: the row whose verdict is being checked
+    value, grad = objective.value_and_gradient(x)  # every column starts here
+    norm = _norm(grad)
+    trackers = [stop.tracker(norm) for _ in cols]
+    if len(cols) > 1:
+        x, grad, norm = (np.tile(x, (len(cols), 1)), np.tile(grad, (len(cols), 1)),
+                         np.full(len(cols), norm))
+    # the newest norms (one per row), which final errors average; every norm under record
+    history = [norm] if record else deque([norm], maxlen=ERROR_WINDOW + 1)
+    if record:
+        etas, values = record
+        values.append(value)
 
     def quiescent(tol: float) -> bool:
-        return all(math.sqrt(float(np.dot(job, job))) <= tol for job in jobs.values())
+        # every in-flight gradient of the row being checked: whole jobs in one column
+        rows = jobs.values() if len(cols) == 1 else (job[row] for job in jobs.values())
+        return all(_norm(g) <= tol for g in rows)
+
+    def check_rows(t: int, block_values: Array, block_norms: Array, quiescent) -> Optional[dict]:
+        """{row: (end, verdict)} of the rows that stop at step t, or None."""
+        nonlocal row
+        stops = {}
+        for row, (tracker, value, norm) in enumerate(
+                zip(trackers, block_values.tolist(), block_norms.tolist())):
+            verdict = tracker.check(t, value, norm, quiescent)
+            if verdict is not None:
+                stops[row] = (t, verdict)
+                if dominance and verdict == "target":
+                    # grid_tune would have capped every later column at t - 1
+                    stops.update((later, (t - 1, "cap")) for later in range(row + 1, len(cols)))
+                    break
+        return stops or None
 
     events = iter(schedule)
     hand_out(next(events), grad)
+    while True:
+        # the norm is root(dot(g, g)): a block's row norms have the bits of _norm
+        if len(cols) == 1:
+            rate, evaluate, root, dot, check = (rules[0].at, objective.value_and_gradient,
+                                                math.sqrt, np.dot, trackers[0].check)
+        else:
+            def rate(t, delay):
+                return np.array([rule.at(t, delay) for rule in rules])[:, None]
+            evaluate, root, dot, check = (objective.values_and_gradients, np.sqrt, _row_dots,
+                                          check_rows)
 
-    for job_id, worker, delay, handed in events:
-        eta = stepsize.at(t, delay)
-        col_eta.append(eta)
-        col_grad_norm.append(grad_norm)
-        col_value.append(value)
+        for job_id, worker, delay, handed in events:
+            eta = rate(t, delay)
+            x = x - eta * jobs.pop(job_id)
+            t += 1
+            value, grad = evaluate(x)
+            norm = root(dot(grad, grad))
+            history.append(norm)
+            if record:
+                etas.append(eta)
+                values.append(value)
+            hand_out(handed, grad)
+            verdict = check(t, value, norm, quiescent)
+            if verdict is not None:
+                break
 
-        x = x - eta * jobs.pop(job_id)
-        t += 1
-        value, grad = objective.value_and_gradient(x)
-        grad_norm = math.sqrt(float(np.dot(grad, grad)))
+        if len(cols) == 1:
+            finished[cols[0]] = (t, verdict, history, x)
+            return schedule, finished
+        for r, (end, why) in verdict.items():
+            norms = [step[r] for step in history]
+            finished[cols[r]] = (end, why, norms[:len(norms) - (t - end)], x[r])
+        keep = [r for r in range(len(cols)) if finished[cols[r]] is None]
+        if not keep:
+            return schedule, finished
+        cols, rules, trackers = ([seq[r] for r in keep] for seq in (cols, rules, trackers))
+        pick = keep if len(keep) > 1 else keep[0]  # the survivor of a block is a vector
+        x = x[pick]
+        history = deque((step[pick] for step in history), maxlen=history.maxlen)
+        for job_id, job in jobs.items():
+            jobs[job_id] = job[pick]
 
-        hand_out(handed, grad)
 
-        verdict = tracker.check(t, value, grad_norm, quiescent)
-        if verdict is not None:
-            break
-
+def _run(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
+         x0: Array, stop: StopRule, master_seed: int) -> RunTrace:
+    """A one-column lockstep run, with its trace."""
+    etas, values = [], []
+    schedule, [(_, verdict, norms, x)] = _lockstep(
+        objective, noise, workers, policy, [stepsize], x0, stop, master_seed,
+        record=(etas, values))
     return RunTrace(
         worker_ids=np.array(schedule.worker_ids, dtype=int),
         delays=np.array(schedule.delays, dtype=int),
-        stepsizes=np.array(col_eta, dtype=float),
-        grad_norms=np.array(col_grad_norm, dtype=float),
-        objective_values=np.array(col_value, dtype=float),
+        stepsizes=np.array(etas, dtype=float),
+        grad_norms=np.array(norms, dtype=float)[:-1],
+        objective_values=np.array(values, dtype=float)[:-1],
         sim_times=np.array(schedule.finish_times, dtype=float),
         n_assigned=np.array(schedule.n_assigned[1:], dtype=int),
         concurrency=np.array(schedule.concurrency_log[:-1], dtype=int),
         final_x=x,
-        final_value=value,
-        final_grad_norm=grad_norm,
+        final_value=values[-1],
+        final_grad_norm=norms[-1],
         total_sim_time=schedule.finish_times[-1],
         stop_reason=verdict,
         converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
@@ -590,135 +670,32 @@ def _run(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
     )
 
 
-def _row_norms(rows: Array) -> Array:
-    # the bits of math.sqrt(np.dot(g, g)) in _run, row by row
-    return np.sqrt(_row_dots(rows))
-
-
-def run_grid(
-    objective,
-    noise: NoiseModel,
-    workers: Sequence,
-    policy,
-    stepsizes: Sequence,
-    x0: Array,
-    stop: StopRule,
-    master_seed: int = 0,
-    dominance: bool = False,
-) -> list[Optional[TuneOutcome]]:
-    """Run one stepsize rule per column in lockstep, over one shared schedule.
-
-    The ``Schedule`` and the noise draws do not depend on the iterate, so
-    they are drawn once; the iterate is a (columns, dim) block and every
-    in-flight job carries one gradient row per running column.  Column k
-    ends exactly as ``_run`` under ``stepsizes[k]`` ends, bit for bit.  A
-    column that stops leaves the block and every in-flight job.
-
-    ``dominance`` applies ``grid_tune``'s ``min_T_to_eps`` budgets, with the
-    columns in grid_tune's order (largest stepsize first): once column j
-    reaches the target at step T, every later column still running is
-    stopped by a cap at T - 1, or skipped when T - 1 < 1.
-
-    ``objective`` evaluates the block through ``values_and_gradients``.
-    Returns one ``TuneOutcome`` per column (``final_error`` as
-    ``metrics.last_k_error``), or None for a skipped column.
+def run_grid(objective, noise: NoiseModel, workers: Sequence, policy, stepsizes: Sequence,
+             x0: Array, stop: StopRule, master_seed: int = 0,
+             dominance: bool = False) -> list[Optional[TuneOutcome]]:
+    """One stepsize rule per column of a ``_lockstep`` run (with its ``dominance``), so
+    column k ends bit for bit as a single run under ``stepsizes[k]``.  Returns one
+    ``TuneOutcome`` per column (``final_error`` as ``metrics.last_k_error``), or None
+    for a column that dominance would cap before step 1.
     """
-    x, shifts = _start_point(objective, workers, x0)
-    outcomes: list[Optional[TuneOutcome]] = [None] * len(stepsizes)
-    if not stepsizes:
-        return outcomes
-    jobs, hand_out = _in_flight(noise, len(workers), x.shape[0], shifts, master_seed)
-
-    cols = list(range(len(stepsizes)))  # the column of each row of xs
-    rules = list(stepsizes)
-    xs = np.tile(x, (len(cols), 1))
-    t = 0
-    values, grads = objective.values_and_gradients(xs)
-    norms = _row_norms(grads)
-    trackers = [stop.tracker(norm) for norm in norms.tolist()]
-    # norms[s % depth] of the last steps, which final errors average
-    depth = ERROR_WINDOW + 1
-    history = np.empty((depth, len(cols)))
-    history[0] = norms
-
-    def outcome(row: int, end: int, verdict: str) -> TuneOutcome:
-        steps = np.arange(max(0, end - ERROR_WINDOW + 1), end + 1) % depth
-        return TuneOutcome(end if verdict == "target" else None,
-                           float(history[steps, row].mean()), verdict == "diverged")
-
-    row = 0  # the row whose verdict is being checked; quiescent() reads its jobs
-
-    def quiescent(tol: float) -> bool:
-        return all(math.sqrt(float(np.dot(block[row], block[row]))) <= tol
-                   for block in jobs.values())
-
-    events = iter(Schedule(workers, policy, master_seed))
-    hand_out(next(events), grads)
-
-    for job_id, worker, delay, handed in events:
-        etas = np.array([rule.at(t, delay) for rule in rules])
-        xs = xs - etas[:, None] * jobs.pop(job_id)
-        t += 1
-        values, grads = objective.values_and_gradients(xs)
-        norms = _row_norms(grads)
-        history[t % depth] = norms
-
-        hand_out(handed, grads)
-
-        stopped: set[int] = set()
-        for row, (tracker, value, norm) in enumerate(
-                zip(trackers, values.tolist(), norms.tolist())):
-            verdict = tracker.check(t, value, norm, quiescent)
-            if verdict is None:
-                continue
-            outcomes[cols[row]] = outcome(row, t, verdict)
-            stopped.add(row)
-            if dominance and verdict == "target":
-                # grid_tune would have capped every later column at t - 1
-                for later in range(row + 1, len(cols)):
-                    outcomes[cols[later]] = outcome(later, t - 1, "cap") if t > 1 else None
-                    stopped.add(later)
-                break
-        if stopped:
-            keep = [row for row in range(len(cols)) if row not in stopped]
-            if not keep:
-                return outcomes
-            rows = np.array(keep)
-            cols = [cols[row] for row in keep]
-            rules = [rules[row] for row in keep]
-            trackers = [trackers[row] for row in keep]
-            xs = xs[rows]
-            history = history[:, rows]
-            for job_id, block in jobs.items():
-                jobs[job_id] = block[rows]
+    _, finished = _lockstep(objective, noise, workers, policy, stepsizes, x0, stop,
+                            master_seed, dominance)
+    return [TuneOutcome(end if verdict == "target" else None,
+                        float(np.array(norms)[-ERROR_WINDOW:].mean()), verdict == "diverged")
+            if end >= 1 else None for end, verdict, norms, _ in finished]
 
 
-def run_homogeneous(
-    objective,
-    noise: NoiseModel,
-    workers: Sequence,
-    policy,
-    stepsize,
-    x0: Array,
-    stop: StopRule,
-    master_seed: int = 0,
-) -> RunTrace:
+def run_homogeneous(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
+                    x0: Array, stop: StopRule, master_seed: int = 0) -> RunTrace:
     """Simulate a run where every worker shares one objective."""
     if isinstance(objective, HeterogeneousFamily):
         raise InvalidConfigError("use run_heterogeneous for client families")
     return _run(objective, noise, workers, policy, stepsize, x0, stop, master_seed)
 
 
-def run_heterogeneous(
-    family: HeterogeneousFamily,
-    noise: NoiseModel,
-    workers: Sequence,
-    concurrency: int,
-    stepsize,
-    x0: Array,
-    stop: StopRule,
-    master_seed: int = 0,
-) -> RunTrace:
+def run_heterogeneous(family: HeterogeneousFamily, noise: NoiseModel, workers: Sequence,
+                      concurrency: int, stepsize, x0: Array, stop: StopRule,
+                      master_seed: int = 0) -> RunTrace:
     """Simulate uniform client sampling over a family of client objectives."""
     if not isinstance(family, HeterogeneousFamily):
         raise InvalidConfigError("run_heterogeneous expects a HeterogeneousFamily")

@@ -78,7 +78,7 @@ class QuadraticObjective:
         """``value_and_gradient`` of every row of ``xs``, bit for bit (one gemv per row)."""
         r = np.matmul(self.matrix_a, xs[:, :, None])[:, :, 0]
         r -= self.vector_b
-        return 0.5 * _row_dots(r), np.matmul(self.matrix_a.T, r[:, :, None])[:, :, 0]
+        return 0.5 * _row_dots(r, r), np.matmul(self.matrix_a.T, r[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -197,9 +197,9 @@ class HeterogeneousFamily:
         return self.base.gradient(x) + self.shifts[client]
 
 
-def _row_dots(rows: Array) -> Array:
-    # one ddot per row, the bits of np.dot(r, r) on each row alone
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+def _row_dots(a: Array, b: Array) -> Array:
+    # one ddot per row, the bits of np.dot(a[i], b[i]) on each row alone
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -128,14 +128,21 @@ def adaptive_eta_bounds(lipschitz: float, concurrency: int) -> dict:
     return {"plain_bound": loose, "concurrency_bound": tight, "eta": min(loose, tight)}
 
 
+# every grid point is a column of the lockstep run; the default grid has 29
+MAX_GRID_POINTS = 10_000
+
+
 def default_log_grid(points_per_decade: int = 4, low: float = 1e-5, high: float = 1e2) -> list[float]:
-    """Log-spaced stepsize grid from ``low`` to ``high`` inclusive."""
-    if points_per_decade < 1:
-        raise InvalidSpecError("points_per_decade must be at least 1")
+    """Log-spaced stepsize grid from ``low`` to ``high`` inclusive, ``MAX_GRID_POINTS`` at most."""
+    if not 1 <= points_per_decade <= MAX_GRID_POINTS:
+        raise InvalidSpecError(f"points_per_decade must lie in [1, {MAX_GRID_POINTS}]")
     if not (0 < low < high):
         raise InvalidSpecError("need 0 < low < high")
-    decades = math.log10(high / low)
-    n = int(round(decades * points_per_decade)) + 1
+    span = math.log10(high / low) * points_per_decade  # inf when high / low overflows
+    n = int(round(span)) + 1 if span < MAX_GRID_POINTS else math.inf
+    if n > MAX_GRID_POINTS:
+        raise InvalidSpecError(f"{low} to {high} at {points_per_decade} points per decade "
+                               f"is more than {MAX_GRID_POINTS} grid points")
     return [float(v) for v in np.logspace(math.log10(low), math.log10(high), n)]
 
 

@@ -158,6 +158,19 @@ BAD_EXAMPLES = {
     # 10^14 doubles (727 TiB) exceed a 64-bit address space: numpy refuses before allocating
     "objective_too_large_to_allocate": (lambda d: d["objective"].update(dim=10**7),
                                         "config.objective"),
+    # integers past what a float or a numpy shape can hold
+    "eta_past_the_float_range": (lambda d: d["stepsize"].update(eta=10**400),
+                                 "config.stepsize.eta"),
+    "points_per_decade_past_the_bound": (lambda d: d["tuning"].update(points_per_decade=10**18),
+                                         "config.tuning.points_per_decade"),
+    "dim_past_the_bound": (lambda d: d["objective"].update(dim=10**20), "config.objective.dim"),
+    # high / low overflows to inf, an endless grid
+    "grid_span_overflows": (lambda d: d["tuning"].update(low=1e-300, high=1e300),
+                            "config.tuning"),
+    "concurrency_past_the_bound": (
+        lambda d: d.update(policy={"kind": "uniform_client_sampling",
+                                   "concurrency": cli.MAX_FLEET + 1}),
+        "config.policy.concurrency"),
 }
 
 
@@ -172,6 +185,25 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and field_path in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ['{"seed": 1' + "0" * 5000 + "}", "[" * 100_000],
+                             ids=["integer_of_5001_digits", "nesting_too_deep"])
+    def test_json_python_cannot_decode_exits_1(self, text, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "config is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # a fleet just past the bound: refused before the list is built
+    @pytest.mark.parametrize("counts", [[cli.MAX_FLEET + 1], [1, cli.MAX_FLEET]],
+                             ids=["one_group", "two_groups"])
+    def test_fleet_past_the_bound_is_refused(self, counts):
+        data = json.loads(EXAMPLE.read_text())
+        data["workers"] = [{"time": "constant", "delta": 1.0, "count": c} for c in counts]
+        with pytest.raises(InvalidConfigError,
+                           match=rf"config\.workers\[{len(counts) - 1}\]\.count"):
+            ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_require_quiescent_takes_json_booleans(self, flag):
@@ -329,6 +361,8 @@ BAD_FLAG_LISTS = {
     "nan_delta": ["speedup", "--deltas", "nan,1", "--concurrency", "1"],
     "zero_delta_count": ["speedup", "--deltas", "1:0,2", "--concurrency", "1"],
     "speed_sum_overflows": ["speedup", "--deltas", "1e308,1e308", "--concurrency", "2"],
+    "delta_count_past_the_bound": ["speedup", "--deltas", f"1:{cli.MAX_FLEET + 1}",
+                                   "--concurrency", "1"],
 }
 
 
@@ -341,6 +375,9 @@ BAD_FLAG_VALUES = {
                             "--max-iterations"),
     "zero_points_per_decade": (["scaling", "--preset", "quadratic",
                                 "--points-per-decade", "0"], "--points-per-decade"),
+    "points_per_decade_past_the_bound": (["scaling", "--preset", "quadratic",
+                                          "--points-per-decade", "10001"],
+                                         "--points-per-decade"),
     "negative_scaling_seed": (["scaling", "--preset", "quadratic", "--seed", "-1"], "--seed"),
     "one_mc_sample": (["speedup", "--deltas", "1,2", "--concurrency", "1",
                        "--oracle", "monte_carlo", "--mc-samples", "1"], "--mc-samples"),
@@ -423,6 +460,12 @@ class TestParseDeltas:
     def test_empty_spec_rejected(self):
         with pytest.raises(InvalidConfigError):
             parse_deltas(" , ")
+
+    # just past the bound, so that nothing large is built if the bound is missing
+    @pytest.mark.parametrize("spec", [f"1:{cli.MAX_FLEET + 1}", f"2,1:{cli.MAX_FLEET}"])
+    def test_count_past_the_bound_rejected(self, spec):
+        with pytest.raises(InvalidConfigError, match="--deltas"):
+            parse_deltas(spec)
 
 
 class TestExitCodes:

@@ -16,6 +16,7 @@ from asgdsim import (
     MaxConcurrency,
     MiniBatch,
     NoiseModel,
+    QuadraticObjective,
     RunTrace,
     SampledMiniBatch,
     SimulationDeadlockError,
@@ -373,6 +374,29 @@ class TestStopRules:
         if loop == "single":
             assert metrics.max_delay(plain_result.ledger) < 200
             assert metrics.max_delay(quiet_result.ledger) == 200
+
+    @LOOPS
+    def test_quiescence_reads_the_whole_in_flight_gradient(self, loop):
+        """The straggler's first gradient, taken at x0, is zero but in its last coordinate.
+        In the lockstep loop the first column diverges at once, so the survivor is the
+        block's second row."""
+        diagonal = QuadraticObjective(np.diag([1.0, 2.0, 3.0]), np.zeros(3))
+        fleet = [ConstantTime(1.0), ScriptedTime(200.0, *[1.0] * 1_000)]
+        args = (diagonal, NO_NOISE, fleet, MaxConcurrency())
+        x0 = np.array([0.0, 0.0, 1.0])
+        stop = StopRule(max_iterations=1_000, grad_tol=1e-6, diverge_above=1e3,
+                        require_quiescent=True)
+        if loop == "single":
+            trace = run_homogeneous(*args, ConstantStepsize(0.1), x0, stop)
+            assert trace.stop_reason == "target"
+            steps = len(trace)
+        else:
+            diverged, survivor = engine.run_grid(
+                *args, [ConstantStepsize(10.0), ConstantStepsize(0.1)], x0, stop)
+            assert diverged.diverged
+            steps = survivor.iterations_to_target
+        # the straggler's first gradient lands at iteration 200
+        assert steps >= 200
 
     @LOOPS
     def test_stall_detector_ends_oscillating_run(self, loop, stop_run):

@@ -190,6 +190,34 @@ def test_lockstep_columns_match_the_reference_engine(seed):
     assert outcome(columns) == outcome(sequential)
 
 
+def test_block_shrinking_to_one_column_matches_the_reference_engine():
+    """Noisy client sampling over a family, with a straggler: the block drops to one column
+    while jobs are in flight, and the survivor (not the block's first row) then waits for
+    them under ``require_quiescent``."""
+    family = make_heterogeneous(make_quadratic(4, 1.0, 2.0, seed=5), 4, 0.05, seed=6)
+    workers = [ConstantTime(1.0), ConstantTime(1.3), ConstantTime(1.7),
+               StragglerTime(1.0, 30.0, 0.2)]
+    stop = StopRule(max_iterations=600, last_k_tol=0.05, last_k=10, require_quiescent=True,
+                    diverge_above=1e3)
+    case = Case(family, NoiseModel(0.01), workers, UniformClientSampling(3), ConstantStepsize,
+                np.ones(4), stop, 11, [2.0, 0.5, 0.02, 0.05, 0.2])
+    rules = [ConstantStepsize(eta) for eta in case.grid]
+    traces = [reference_run(family, case.noise, workers, case.policy, rule, case.x0, stop,
+                            case.seed) for rule in rules]
+    ends = [len(trace) for trace in traces]
+    survivor = traces[-1]
+    assert ends[-1] > max(ends[:-1]) and survivor.stop_reason == "target"
+    assert survivor.ledger.concurrency_log[max(ends[:-1])] > 0  # jobs in flight at the switch
+    hasty = case.simulate(case.grid[-1], dataclasses.replace(stop, require_quiescent=False))
+    assert len(hasty) < ends[-1]
+
+    def columns():
+        return run_grid(family, case.noise, workers, case.policy, rules, case.x0, stop,
+                        master_seed=case.seed)
+
+    assert outcome(columns) == outcome(lambda: [reference_outcome(case, r) for r in rules])
+
+
 QUAD = make_quadratic(4, 1.0, 2.0, seed=7)
 
 

@@ -16,6 +16,7 @@ from asgdsim import (
     grid_tune,
     theoretical_constant_eta,
 )
+from asgdsim.stepsize import MAX_GRID_POINTS
 
 
 class TestConstant:
@@ -144,6 +145,19 @@ class TestLogGrid:
     def test_bad_range_rejected(self):
         with pytest.raises(InvalidSpecError):
             default_log_grid(low=1.0, high=0.1)
+
+    @pytest.mark.parametrize("density,low,high", [
+        (MAX_GRID_POINTS + 1, 0.5, 1.0),  # fewer points than the bound, but too dense
+        (10**400, 1e-5, 1e2),  # the float product would overflow
+        (MAX_GRID_POINTS, 1e-5, 1e2),
+        (1, 1e-300, 1e300),  # high / low overflows
+    ], ids=["too_dense", "density_past_the_floats", "too_many_points", "span_overflows"])
+    def test_grid_past_the_bound_rejected(self, density, low, high):
+        with pytest.raises(InvalidSpecError):
+            default_log_grid(density, low, high)
+
+    def test_grid_at_the_bound(self):
+        assert len(default_log_grid(MAX_GRID_POINTS - 1, 1.0, 10.0)) == MAX_GRID_POINTS
 
 
 def synthetic_runner(t_of_eta, cap=10_000):
