@@ -84,12 +84,14 @@ AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 GRID_DENSITY = (lambda v: 1 <= v <= MAX_GRID_POINTS, f"must lie in [1, {MAX_GRID_POINTS}]")
 NUMBER, OBJECT = (float, REQUIRED, None), (dict, REQUIRED, None)
 # Counts are bounded before anything is built from them.  A fleet (workers, clients, jobs handed
-# out at once, --deltas speeds) is at most 100 times the largest used here; each worker owns a
-# noise stream of about 1.7 KB.  A dim or sample count is at most 10^8 (a quadratic of that dim
-# has 10^16 entries): numpy refuses the largest shapes with an error that names no field.
+# out at once, --deltas speeds) is at most 100 times the largest used here; in a noisy run each
+# worker owns a noise stream of about 1.7 KB.  A dim or sample count is at most 10^8 (a quadratic
+# of that dim has 10^16 entries): numpy refuses the largest shapes with an error naming no field.
 MAX_FLEET = 100_000
 FLEET_SIZE = (int, REQUIRED, (lambda v: 1 <= v <= MAX_FLEET, f"must lie in [1, {MAX_FLEET}]"))
 SIZE = (int, REQUIRED, (lambda v: v <= 10**8, "must be at most 10^8"))
+# A replica is a whole run writing two files: 1,000 is over 300 times the 3 used here.
+MAX_REPLICAS = 1_000
 
 CONFIG_KEYS = {
     "seed": (int, 0, NON_NEGATIVE),
@@ -101,7 +103,8 @@ CONFIG_KEYS = {
     "stepsize": (dict, None, None),
     "tuning": (dict, None, None),
     "x0": (list, None, None),
-    "replicas": (int, 1, AT_LEAST_1),
+    "replicas": (int, 1, (lambda v: 1 <= v <= MAX_REPLICAS,
+                          f"must lie in [1, {MAX_REPLICAS}]")),
 }
 SEED = {"seed": (int, None, NON_NEGATIVE)}  # defaults to the config's seed
 QUADRATIC = {"dim": SIZE, "lambda_min": NUMBER, "lambda_max": NUMBER} | SEED
@@ -378,7 +381,7 @@ def tune(objective, noise, workers, policy, make_stepsize, x0, stop: StopRule, s
                                f"point is {point}")
         return outcome
 
-    return grid_tune(run, grid, criterion, stop.max_iterations)
+    return grid_tune(run, grid, criterion)
 
 
 # ---------------------------------------------------------------------------

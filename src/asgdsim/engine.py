@@ -458,15 +458,14 @@ class Schedule:
     def __init__(self, workers: Sequence, policy, master_seed: int):
         self.workers, self.policy, self.master_seed = workers, policy, master_seed
         self.heap = []  # (finish_time, tie_key, job_id, worker, start_iteration)
-        # per applied job; n_assigned[t] jobs were handed out once t jobs had
-        # been applied, and concurrency_log[t] = |C_t| were then in flight
-        self.worker_ids, self.delays, self.finish_times = [], [], []
-        self.n_assigned, self.concurrency_log = [], []
+        # one entry per applied job, and concurrency_log[t] = |C_t| jobs in flight once t
+        # jobs had been applied and that step's jobs handed out.  One job is applied per
+        # step, so n_t = |C_t| - |C_{t-1}| + 1 jobs were handed out at step t >= 1
+        self.worker_ids, self.delays, self.finish_times, self.concurrency_log = [], [], [], []
 
     def __iter__(self):
-        heap, worker_ids, delays, finish_times, n_assigned, concurrency_log = (
-            self.heap, self.worker_ids, self.delays, self.finish_times, self.n_assigned,
-            self.concurrency_log)
+        heap, worker_ids, delays, finish_times, concurrency_log = (
+            self.heap, self.worker_ids, self.delays, self.finish_times, self.concurrency_log)
         sample_time = [model.sample for model in self.workers]
         delay_rng = named_stream(self.master_seed, "delay-model")
         client_rng = named_stream(self.master_seed, "client-sampling")
@@ -487,7 +486,6 @@ class Schedule:
                 heappush(heap, (finish, w, next_id, w, t))
                 next_id += 1
                 busy[w] += 1
-            n_assigned.append(len(handed))
             concurrency_log.append(len(heap))
             yield (job_id, worker, delay, handed) if t else handed
             if not heap:
@@ -519,15 +517,16 @@ def _in_flight(noise: NoiseModel, n: int, dim: int, shifts, master_seed: int):
     which files a job for each worker in ``handed`` under the next id: ``grad``
     (one vector, or one row per column of a lockstep run) plus client ``w``'s
     shift and one draw from worker ``w``'s noise stream."""
-    noise_rngs = [named_stream(master_seed, f"noise-worker-{i}") for i in range(n)]
-    noisy = noise.sigma > 0.0
+    # a noiseless run draws no noise, so it opens no noise streams
+    noise_rngs = [named_stream(master_seed, f"noise-worker-{i}")
+                  for i in range(n if noise.sigma > 0.0 else 0)]
     jobs: dict[int, Array] = {}
     ids = itertools.count()
 
     def hand_out(handed, grad: Array) -> None:
         for w in handed:
             job = grad if shifts is None else grad + shifts[w]
-            if noisy:
+            if noise_rngs:
                 job = job + noise.sample(dim, noise_rngs[w])
             jobs[next(ids)] = job
 
@@ -657,7 +656,7 @@ def _run(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
         grad_norms=np.array(norms, dtype=float)[:-1],
         objective_values=np.array(values, dtype=float)[:-1],
         sim_times=np.array(schedule.finish_times, dtype=float),
-        n_assigned=np.array(schedule.n_assigned[1:], dtype=int),
+        n_assigned=np.diff(schedule.concurrency_log) + 1,
         concurrency=np.array(schedule.concurrency_log[:-1], dtype=int),
         final_x=x,
         final_value=values[-1],

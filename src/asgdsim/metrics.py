@@ -227,5 +227,5 @@ def summary(trace) -> dict:
         "delay_conservation": {"lhs": check.lhs, "rhs": check.rhs, "pass": check.passed},
         "in_flight_convention": "exclude-next-applied",
         "total_sim_time": _finite_or_none(trace.total_sim_time),
-        "gradients_started": int(ledger.concurrency_log[0]) + int(np.sum(trace.n_assigned)),
+        "gradients_started": ledger.total_iterations + len(ledger.active_clients),
     }

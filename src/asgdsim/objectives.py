@@ -14,8 +14,10 @@ Gradient noise is modelled separately by ``NoiseModel`` (isotropic Gaussian
 with E||noise||^2 equal to sigma^2 exactly, i.e. per-coordinate variance
 sigma^2 / dim).
 
-Each family also evaluates a block of iterates at once
-(``values_and_gradients``, for lockstep grid tuning).  A broadcast
+Each family computes value and gradient in one point kernel,
+``value_and_gradient``, which every run steps with; ``value`` and
+``gradient`` only read it.  The block kernel ``values_and_gradients``
+evaluates a block of iterates at once (lockstep grid tuning): a broadcast
 ``np.matmul`` makes one gemv or ddot per row, so every row gets the bits of
 ``value_and_gradient``; a gemm over the block would not.
 """
@@ -63,11 +65,10 @@ class QuadraticObjective:
         return self.vector_b.shape[0]
 
     def value(self, x: Array) -> float:
-        r = self.matrix_a @ x - self.vector_b
-        return 0.5 * float(r @ r)
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: Array) -> Array:
-        return self.matrix_a.T @ (self.matrix_a @ x - self.vector_b)
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         r = np.dot(self.matrix_a, x)
@@ -119,18 +120,15 @@ class LogisticObjective:
         return self.features.shape[0]
 
     def value(self, x: Array) -> float:
-        margins = self.labels * (self.features @ x)
-        return float(np.logaddexp(0.0, -margins).mean())
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: Array) -> Array:
-        margins = self.labels * (self.features @ x)
-        # sigmoid(-margins), written through tanh for stability at large |margins|
-        s = 0.5 * (1.0 - np.tanh(0.5 * margins))
-        return -(self.features.T @ (self.labels * s)) / self.n_samples
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         margins = self.labels * np.dot(self.features, x)
         value = float(np.logaddexp(0.0, -margins).mean())
+        # sigmoid(-margins), written through tanh for stability at large |margins|
         s = 0.5 * (1.0 - np.tanh(0.5 * margins))
         return value, -np.dot(self.labels * s, self.features) / self.n_samples
 

@@ -189,7 +189,6 @@ def grid_tune(
     run: Callable[[float, Optional[int]], TuneOutcome],
     grid: Sequence[float],
     criterion: str = "min_T_to_eps",
-    max_iterations: Optional[int] = None,
 ) -> TuningResult:
     """Evaluate ``run`` on every grid point and pick the best stepsize.
 
@@ -217,13 +216,12 @@ def grid_tune(
     best_eta = None
     best_metric = math.inf
     for eta in reversed(grid):
+        budget = None
         if criterion == "min_T_to_eps" and math.isfinite(best_metric):
             budget = int(best_metric) - 1
             if budget < 1:
                 points[eta] = TunePoint(eta, math.inf, None, math.nan, False)
                 continue
-        else:
-            budget = max_iterations
         outcome = run(eta, budget)
         if criterion == "min_T_to_eps":
             metric = (

@@ -171,6 +171,10 @@ BAD_EXAMPLES = {
         lambda d: d.update(policy={"kind": "uniform_client_sampling",
                                    "concurrency": cli.MAX_FLEET + 1}),
         "config.policy.concurrency"),
+    # one-step runs, so that a missing bound costs 1,001 short runs, not 1,001 long ones
+    "replicas_past_the_bound": (
+        lambda d: d.update(replicas=cli.MAX_REPLICAS + 1, stop={"max_iterations": 1}),
+        "config.replicas"),
 }
 
 

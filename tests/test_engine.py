@@ -30,6 +30,7 @@ from asgdsim import (
     run_homogeneous,
 )
 from asgdsim import engine, metrics
+from asgdsim.rng import named_stream
 
 
 QUAD = make_quadratic(4, 1.0, 2.0, seed=7)
@@ -488,6 +489,23 @@ class TestDeterminism:
                                MaxConcurrency(), ConstantStepsize(0.05), X0,
                                StopRule(max_iterations=30), master_seed=11)
         np.testing.assert_array_equal(solo.grad_norms, pair.grad_norms)
+
+    @pytest.mark.parametrize("sigma, streams", [(0.0, 2), (0.1, 1002)],
+                             ids=["noiseless", "noisy"])
+    def test_only_noisy_runs_open_noise_streams(self, sigma, streams, monkeypatch):
+        # the delay-model and client-sampling streams, plus one noise stream per
+        # worker when there is noise to draw
+        names = []
+
+        def counted(master_seed, name):
+            names.append(name)
+            return named_stream(master_seed, name)
+
+        monkeypatch.setattr(engine, "named_stream", counted)
+        run_homogeneous(QUAD, NoiseModel(sigma), constant_fleet([1.0] * 1000),
+                        MaxConcurrency(), ConstantStepsize(0.05), X0,
+                        StopRule(max_iterations=5), master_seed=3)
+        assert len(names) == streams
 
 
 def reference_csv(trace, path):

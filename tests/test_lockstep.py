@@ -72,8 +72,7 @@ class Case:
                     self.x0, self.stop, self.seed, self.grid, self.criterion)
 
     def sequential_tune(self):
-        return grid_tune(sequential_runner(self.simulate, self.stop), self.grid, self.criterion,
-                         self.stop.max_iterations)
+        return grid_tune(sequential_runner(self.simulate, self.stop), self.grid, self.criterion)
 
 
 def sequential_runner(simulate, stop: StopRule):

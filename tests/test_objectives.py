@@ -34,11 +34,16 @@ class TestQuadratic:
         assert np.linalg.norm(obj.gradient(x_star)) < 1e-12
 
     def test_value_and_gradient_consistent(self):
+        # against 0.5 * ||A x - b||^2 and A^T (A x - b) written out here, since
+        # value and gradient only read the kernel
         obj = make_quadratic(7, 1.0, 4.0, seed=2)
         x = named_stream(5, "probe").standard_normal(7)
         v, g = obj.value_and_gradient(x)
-        assert v == obj.value(x)
-        np.testing.assert_array_equal(g, obj.gradient(x))
+        r = obj.matrix_a @ x - obj.vector_b
+        assert v == 0.5 * float(r @ r)
+        np.testing.assert_array_equal(g, obj.matrix_a.T @ r)
+        assert obj.value(x) == v
+        np.testing.assert_array_equal(obj.gradient(x), g)
 
     def test_same_seed_same_instance(self):
         a = make_quadratic(4, 1.0, 2.0, seed=11)
@@ -73,6 +78,19 @@ class TestLogistic:
         v, g = obj.value_and_gradient(x)
         assert np.isfinite(v)
         assert np.all(np.isfinite(g))
+
+    def test_value_and_gradient_consistent(self):
+        # against the mean of log(1 + exp(-b_j a_j . x)) and its gradient
+        # -(1/m) sum_j b_j a_j / (1 + exp(b_j a_j . x)), written out here
+        obj = make_logistic(40, 6, seed=8)
+        x = named_stream(9, "probe").standard_normal(6)
+        v, g = obj.value_and_gradient(x)
+        margins = obj.labels * (obj.features @ x)
+        assert v == pytest.approx(np.mean(np.log1p(np.exp(-margins))), rel=1e-13)
+        want = -(obj.features.T @ (obj.labels / (1.0 + np.exp(margins)))) / obj.n_samples
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-15)
+        assert obj.value(x) == v
+        np.testing.assert_array_equal(obj.gradient(x), g)
 
     def test_labels_are_plus_minus_one(self):
         obj = make_logistic(30, 5, seed=7)

@@ -1,15 +1,19 @@
 """The verify checks catch the bookkeeping faults that they are built to catch.
 
-Each fault is injected here, by patching the engine or the replay for the
-length of one test; nothing in the run API switches it on.
+Each fault is injected here, by patching the engine, an objective or the
+replay for the length of one test; nothing in the run API switches it on.
 """
 
 import dataclasses
 
 import pytest
 
-from asgdsim import engine, verify
-from asgdsim.verify import check_delay_conservation_fuzz, check_determinism
+from asgdsim import QuadraticObjective, engine, verify
+from asgdsim.verify import (
+    check_delay_conservation_fuzz,
+    check_determinism,
+    check_gradient_finite_differences,
+)
 
 
 def test_conservation_fuzz_passes_clean_schedules():
@@ -27,6 +31,18 @@ def test_conservation_fuzz_catches_an_off_by_one_delay(monkeypatch):
     result = check_delay_conservation_fuzz(n_configs=5)
     assert not result.passed
     assert "first failure at config" in result.detail
+
+
+def test_finite_differences_catch_a_kernel_gradient_one_percent_too_large(monkeypatch):
+    # every run steps with value_and_gradient, so that is the gradient to check
+    kernel = QuadraticObjective.value_and_gradient
+
+    def too_steep(self, x):
+        value, grad = kernel(self, x)
+        return value, 1.01 * grad
+
+    monkeypatch.setattr(QuadraticObjective, "value_and_gradient", too_steep)
+    assert not check_gradient_finite_differences().passed
 
 
 def test_determinism_passes_a_faithful_replay():
