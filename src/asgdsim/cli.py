@@ -37,6 +37,7 @@ from .engine import (
     StragglerTime,
     UniformClientSampling,
     constant_fleet,
+    race_grid,
     run_grid,
     run_heterogeneous,
     run_homogeneous,
@@ -443,8 +444,8 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _scaling_point(objective, slow_factor: float, epsilon: float, grid: list[float],
-                   max_iterations: int, seed: int) -> ScalingPoint:
+def _scaling_run(slow_factor: float, epsilon: float, max_iterations: int):
+    """The fleet and the stop rule of the sweep point at ``slow_factor``."""
     workers = constant_fleet([1.0, float(slow_factor)])
     # quiescent stop: the sweep measures iterations until the accuracy is
     # reached for good, so a straggler gradient still in flight must not be
@@ -453,29 +454,39 @@ def _scaling_point(objective, slow_factor: float, epsilon: float, grid: list[flo
     stop = StopRule(max_iterations=max_iterations, last_k_tol=epsilon, last_k=30,
                     diverge_above=1e8, require_quiescent=True,
                     stall_window=max(2000, 4 * int(slow_factor)))
-    x0 = np.zeros(objective.dim)
-    noise = NoiseModel(0.0)
-    result = tune(objective, noise, workers, MaxConcurrency(), ConstantStepsize, x0, stop, seed,
-                  grid, "min_T_to_eps")
-    best = run_homogeneous(objective, noise, workers, MaxConcurrency(),
-                           ConstantStepsize(result.best_eta), x0, stop, master_seed=seed)
-    observed = metrics_mod.max_delay(best.ledger)
+    return workers, stop
+
+
+def _scaling_point(objective, slow_factor: float, epsilon: float, grid: list[float],
+                   max_iterations: int, seed: int) -> ScalingPoint:
+    """``min_T_to_eps`` tuning as a race: the first column to reach the target, largest
+    stepsize first, is the point, and no column runs past its step."""
+    workers, stop = _scaling_run(slow_factor, epsilon, max_iterations)
+    etas = sorted(grid, reverse=True)
+    race = race_grid(objective, NoiseModel(0.0), workers, MaxConcurrency(),
+                     [ConstantStepsize(eta) for eta in etas], np.zeros(objective.dim), stop,
+                     master_seed=seed)
+    if race is None:
+        raise TuningFailedError(f"slow factor {slow_factor:g}, epsilon {epsilon:g}: no stepsize "
+                                f"on the grid reached the target")
+    column, end, norms, schedule = race
+    observed = metrics_mod.max_delay(schedule.close())
     return ScalingPoint(
         slow_factor=float(slow_factor),
         observed_max_delay=observed,
         sqrt_max_delay=math.sqrt(observed),
-        tuned_eta=result.best_eta,
-        eta_on_grid_edge=result.best_on_grid_edge,
-        iterations_to_target=len(best),
-        sim_time_to_target=best.total_sim_time,
-        final_error=metrics_mod.last_k_error(best),
+        tuned_eta=etas[column],
+        eta_on_grid_edge=column in (0, len(etas) - 1),
+        iterations_to_target=end,
+        sim_time_to_target=schedule.finish_times[-1],
+        final_error=metrics_mod.window_error(norms),
     )
 
 
 def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 1e-14,
                        points_per_decade: int = 4, max_iterations: int = 200_000,
                        seed: int = 0) -> ScalingReport:
-    """Tune and run the two-worker straggler sweep for one problem preset."""
+    """The two-worker straggler sweep for one problem preset, one grid race per point."""
     if preset == "quadratic":
         objective = make_quadratic(10, 1.0, 2.0, seed=seed)
     elif preset == "logistic":
@@ -491,11 +502,11 @@ def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 
         for p in points if p.eta_on_grid_edge
     ]
     fit: Optional[LinearFit] = None
-    if len(points) >= 3:
+    try:
         fit = fit_line([p.sqrt_max_delay for p in points],
                        [p.iterations_to_target for p in points])
-    else:
-        warnings.append("fewer than 3 points; no fit computed")
+    except InvalidConfigError as exc:
+        warnings.append(f"{exc}; no fit computed")
     return ScalingReport(preset=preset, epsilon=epsilon, points=points,
                          fit=fit, warnings=warnings)
 

@@ -39,8 +39,9 @@ iteration t - 1, given the in-flight job count per worker and the
 
 A run has two phases.  Phase 1, the ``Schedule``, owns everything the
 iterate cannot touch and writes the ``DelayLedger``.  Phase 2, ``_lockstep``,
-consumes it with one column per stepsize: a single run is one column, and
-``run_grid`` runs a tuning grid as one column per point.  It keeps the
+consumes it with one column per stepsize: a single run is one column,
+``run_grid`` runs a tuning grid as one column per point, and ``race_grid``
+ends that run at the first column to reach the target.  It keeps the
 in-flight jobs by job id, draws noise at hand-out and takes each column's
 stop verdicts from its own ``StopTracker``.  The conservation fuzz in
 ``verify`` runs phase 1 alone: the code that writes every run's ledger.
@@ -65,7 +66,7 @@ from .errors import (
     InvalidSelectionError,
     SimulationDeadlockError,
 )
-from .metrics import ERROR_WINDOW, DelayLedger
+from .metrics import ERROR_WINDOW, DelayLedger, window_error
 from .objectives import HeterogeneousFamily, NoiseModel, _row_dots
 from .rng import named_stream
 from .stepsize import TuneOutcome
@@ -537,10 +538,10 @@ def _norm(grad: Array) -> float:
     return math.sqrt(float(np.dot(grad, grad)))
 
 
-def _lockstep(objective, noise: NoiseModel, workers: Sequence, policy, rules: Sequence,
-              x0: Array, stop: StopRule, master_seed: int, dominance: bool = False,
+def _lockstep(objective, noise: NoiseModel, schedule: Schedule, rules: Sequence, x0: Array,
+              stop: StopRule, dominance: bool = False,
               record: Optional[tuple[list, list]] = None):
-    """Phase 2: one stepsize rule per column, in lockstep over one ``Schedule``.
+    """Phase 2: one stepsize rule per column, in lockstep over ``schedule``.
 
     The iterate is a (columns, dim) block and every in-flight job carries one
     gradient row per running column; a column that stops leaves the block and
@@ -553,16 +554,17 @@ def _lockstep(objective, noise: NoiseModel, workers: Sequence, policy, rules: Se
     every later one still running by a cap at T - 1.  ``record`` (one column)
     is a pair of lists that collects eta per step and the value per iterate.
 
-    Returns the schedule and per column ``(end, verdict, norms, x)``: the stop
-    step and verdict, the gradient norms up to ``end`` (the last
-    ``ERROR_WINDOW`` at least, all under ``record``) and the last iterate.
+    A generator: it yields ``(column, end, verdict, norms, x)`` for each column
+    as it stops, in step order, then row order: the stop step and verdict, the
+    gradient norms up to ``end`` (the last ``ERROR_WINDOW`` at least, all under
+    ``record``) and the last iterate.  A consumer that stops early stops the
+    run, and ``schedule`` with it, at that step.
     """
+    workers, master_seed = schedule.workers, schedule.master_seed
     x, shifts = _start_point(objective, workers, x0)
-    schedule = Schedule(workers, policy, master_seed)
     if not rules:
-        return schedule, []
+        return
     cols, rules = list(range(len(rules))), list(rules)  # the column of each row
-    finished = [None] * len(cols)
     jobs, hand_out = _in_flight(noise, len(workers), x.shape[0], shifts, master_seed)
     t, row = 0, 0  # row: the row whose verdict is being checked
     value, grad = objective.value_and_gradient(x)  # every column starts here
@@ -626,14 +628,14 @@ def _lockstep(objective, noise: NoiseModel, workers: Sequence, policy, rules: Se
                 break
 
         if len(cols) == 1:
-            finished[cols[0]] = (t, verdict, history, x)
-            return schedule, finished
+            yield cols[0], t, verdict, history, x
+            return
         for r, (end, why) in verdict.items():
             norms = [step[r] for step in history]
-            finished[cols[r]] = (end, why, norms[:len(norms) - (t - end)], x[r])
-        keep = [r for r in range(len(cols)) if finished[cols[r]] is None]
+            yield cols[r], end, why, norms[:len(norms) - (t - end)], x[r]
+        keep = [r for r in range(len(cols)) if r not in verdict]
         if not keep:
-            return schedule, finished
+            return
         cols, rules, trackers = ([seq[r] for r in keep] for seq in (cols, rules, trackers))
         pick = keep if len(keep) > 1 else keep[0]  # the survivor of a block is a vector
         x = x[pick]
@@ -646,9 +648,9 @@ def _run(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
          x0: Array, stop: StopRule, master_seed: int) -> RunTrace:
     """A one-column lockstep run, with its trace."""
     etas, values = [], []
-    schedule, [(_, verdict, norms, x)] = _lockstep(
-        objective, noise, workers, policy, [stepsize], x0, stop, master_seed,
-        record=(etas, values))
+    schedule = Schedule(workers, policy, master_seed)
+    [(_, _, verdict, norms, x)] = _lockstep(objective, noise, schedule, [stepsize], x0, stop,
+                                            record=(etas, values))
     return RunTrace(
         worker_ids=np.array(schedule.worker_ids, dtype=int),
         delays=np.array(schedule.delays, dtype=int),
@@ -674,14 +676,36 @@ def run_grid(objective, noise: NoiseModel, workers: Sequence, policy, stepsizes:
              dominance: bool = False) -> list[Optional[TuneOutcome]]:
     """One stepsize rule per column of a ``_lockstep`` run (with its ``dominance``), so
     column k ends bit for bit as a single run under ``stepsizes[k]``.  Returns one
-    ``TuneOutcome`` per column (``final_error`` as ``metrics.last_k_error``), or None
+    ``TuneOutcome`` per column (``final_error`` its ``window_error``), or None
     for a column that dominance would cap before step 1.
     """
-    _, finished = _lockstep(objective, noise, workers, policy, stepsizes, x0, stop,
-                            master_seed, dominance)
-    return [TuneOutcome(end if verdict == "target" else None,
-                        float(np.array(norms)[-ERROR_WINDOW:].mean()), verdict == "diverged")
-            if end >= 1 else None for end, verdict, norms, _ in finished]
+    stops = _lockstep(objective, noise, Schedule(workers, policy, master_seed), stepsizes, x0,
+                      stop, dominance)
+    return [TuneOutcome(end if verdict == "target" else None, window_error(norms),
+                        verdict == "diverged")
+            if end >= 1 else None for _, end, verdict, norms, _ in sorted(stops)]
+
+
+def race_grid(objective, noise: NoiseModel, workers: Sequence, policy, stepsizes: Sequence,
+              x0: Array, stop: StopRule,
+              master_seed: int = 0) -> Optional[tuple[int, int, Sequence[float], Schedule]]:
+    """The first column of a ``_lockstep`` run to stop at the target; the run ends there.
+
+    Columns stop in step order, then row order, so with ``stepsizes`` largest
+    first this is ``grid_tune``'s ``min_T_to_eps`` winner (ties to the larger
+    stepsize), and no other column runs past its step.  Returns ``(column,
+    end, norms, schedule)``: the winner's index and stop step, its gradient
+    norms up to ``end`` (the last ``ERROR_WINDOW`` at least) and the schedule,
+    stopped at ``end``, whose ``close()`` is the winner's ledger and whose
+    ``finish_times[-1]`` its total simulated time.  None when no column
+    reaches the target.
+    """
+    schedule = Schedule(workers, policy, master_seed)
+    for column, end, verdict, norms, _ in _lockstep(objective, noise, schedule, stepsizes, x0,
+                                                    stop):
+        if verdict == "target":
+            return column, end, norms, schedule
+    return None
 
 
 def run_homogeneous(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,

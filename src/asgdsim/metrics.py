@@ -166,12 +166,17 @@ def grad_norm_sequence(trace) -> np.ndarray:
 ERROR_WINDOW = 30  # last_k_error's default k: the final error that tuning compares
 
 
+def window_error(norms, k: int = ERROR_WINDOW) -> float:
+    """Mean of the last ``k`` of the gradient norms ``norms``, or of all of them
+    when there are fewer."""
+    return float(np.array(norms, dtype=float)[-k:].mean())
+
+
 def last_k_error(trace, k: int = ERROR_WINDOW) -> float:
-    """Mean of the last ``k`` gradient norms along the iterate sequence, or of
-    the whole sequence when fewer than ``k`` iterates exist."""
+    """``window_error`` of the gradient norms along the iterate sequence."""
     if k < 1:
         raise UndefinedStatisticError("k must be at least 1")
-    return float(grad_norm_sequence(trace)[-k:].mean())
+    return window_error(grad_norm_sequence(trace), k)
 
 
 def weighted_grad_norm_average(trace, weights: str = "uniform") -> float:

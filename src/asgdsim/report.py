@@ -33,7 +33,10 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     if xs.shape != ys.shape or xs.ndim != 1:
         raise InvalidConfigError("fit needs matching 1-d inputs")
     if xs.shape[0] < 3:
-        raise InvalidConfigError("fit needs at least 3 points")
+        raise InvalidConfigError("fewer than 3 points")
+    # points over one x value fix no slope: polyfit warns and returns an arbitrary line
+    if xs.min() == xs.max():
+        raise InvalidConfigError("fewer than 2 distinct x values")
     slope, intercept = np.polyfit(xs, ys, 1)
     predicted = slope * xs + intercept
     ss_res = float(((ys - predicted) ** 2).sum())

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asgdsim import InvalidConfigError, cli
@@ -640,6 +641,27 @@ class TestSubcommands:
         assert payload["fit"] is not None
         assert (out / "scaling.csv").exists()
         assert (out / "scaling.svg").read_text().startswith("<svg")
+
+    def test_scaling_fits_no_line_through_one_delay(self, tmp_path, capsys):
+        # every point sees max delay 3, so sqrt(max delay) takes a single value
+        out = tmp_path / "scale"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["scaling", "--preset", "quadratic", "--slow-factors", "2.1,2.2,2.3",
+                         "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "scaling.json").read_text())
+        assert {p["observed_max_delay"] for p in payload["points"]} == {3}
+        assert payload["fit"] is None
+        assert "scaling: warning: fewer than 2 distinct x values; no fit computed" \
+            in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, np.exceptions.RankWarning)]
+
+    def test_failed_sweep_names_its_slow_factor(self, tmp_path, capsys):
+        code = main(["scaling", "--preset", "quadratic", "--slow-factors", "1,4,16",
+                     "--max-iterations", "3", "--out", str(tmp_path / "scale")])
+        assert code == 2
+        assert "tuning failed: slow factor 1, epsilon 1e-14:" in capsys.readouterr().err
 
     def test_importing_the_cli_leaves_verify_unloaded(self):
         # verify is imported inside cmd_verify, so no other command pays for it

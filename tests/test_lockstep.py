@@ -1,4 +1,4 @@
-"""Lockstep grid tuning against the sequential oracle.
+"""Lockstep grid tuning against the sequential oracle, and the grid race against tuning.
 
 ``sequential_runner`` is the per-point tuning runner that ``tune``,
 ``compare`` and ``scaling`` used before the grid ran in lockstep: one full
@@ -6,6 +6,12 @@
 budget ``grid_tune`` hands it.  ``cli.tune`` answers the same calls from one
 ``engine.run_grid``; every ``TuningResult`` and every ``TuningFailedError``
 point list must be equal.
+
+``scaling`` races its grid instead (``engine.race_grid``): the lockstep run
+ends at the first column to reach the target, and that column is the sweep
+point.  ``tuned_and_rerun_point`` is the path it took before, ``cli.tune``
+and then a ``run_homogeneous`` rerun of the winner; every ``ScalingPoint``
+must be equal, and the race's winner must be ``cli.tune``'s.
 """
 
 import dataclasses
@@ -38,10 +44,12 @@ from asgdsim import (
     run_heterogeneous,
     run_homogeneous,
 )
-from asgdsim.cli import tune
-from asgdsim.engine import _window_mean, run_grid
-from asgdsim.metrics import last_k_error
+from asgdsim import cli, engine, stepsize
+from asgdsim.cli import _scaling_point, _scaling_run, scaling_experiment, tune
+from asgdsim.engine import _window_mean, race_grid, run_grid
+from asgdsim.metrics import last_k_error, max_delay
 from asgdsim.objectives import HeterogeneousFamily
+from asgdsim.report import ScalingPoint
 from reference_engine import _run as reference_run
 
 
@@ -293,3 +301,91 @@ class TestEdgeCases:
                             [ConstantStepsize(0.1)], case.x0, case.stop, master_seed=1)
         assert outcomes[0].iterations_to_target == step
         assert_lockstep_matches_sequential(case)
+
+
+def race(case: Case):
+    """``race_grid`` over ``case.grid``, largest stepsize first: (eta, T) and the schedule."""
+    etas = sorted(case.grid, reverse=True)
+    won = race_grid(case.objective, case.noise, case.workers, case.policy,
+                    [case.make_stepsize(eta) for eta in etas], case.x0, case.stop,
+                    master_seed=case.seed)
+    if won is None:
+        return None
+    column, end, _, schedule = won
+    return (etas[column], end), schedule
+
+
+def test_race_winner_is_the_tuned_winner():
+    """Every min_T_to_eps case of ``random_case`` 0-89: the race's (eta, T) is ``cli.tune``'s
+    (best_eta, best_metric), and a race that no column wins is a failed tuning."""
+    won = failed = 0
+    for seed in range(90):
+        case = random_case(seed)
+        if case.criterion != "min_T_to_eps" or len(set(case.grid)) < len(case.grid):
+            continue
+        try:
+            result = case.lockstep_tune()
+        except TuningFailedError:
+            assert race(case) is None, seed
+            failed += 1
+            continue
+        (eta, end), _ = race(case)
+        assert (eta, float(end)) == (result.best_eta, result.best_metric), seed
+        won += 1
+    assert won >= 10 and failed >= 1
+
+
+def test_race_tie_goes_to_the_largest_stepsize():
+    case = straggler_case(grad_tol=1e9)  # every column reaches it at step 1
+    (eta, end), schedule = race(case)
+    result = case.lockstep_tune()
+    assert (eta, end) == (max(case.grid), 1) == (result.best_eta, result.best_metric)
+    assert len(schedule.delays) == 1
+
+
+def tuned_and_rerun_point(objective, slow_factor, epsilon, grid, max_iterations, seed):
+    """The sweep point through ``cli.tune`` and a ``run_homogeneous`` rerun of its winner."""
+    workers, stop = _scaling_run(slow_factor, epsilon, max_iterations)
+    x0, noise = np.zeros(objective.dim), NoiseModel(0.0)
+    result = tune(objective, noise, workers, MaxConcurrency(), ConstantStepsize, x0, stop, seed,
+                  grid, "min_T_to_eps")
+    best = run_homogeneous(objective, noise, workers, MaxConcurrency(),
+                           ConstantStepsize(result.best_eta), x0, stop, master_seed=seed)
+    observed = max_delay(best.ledger)
+    return ScalingPoint(float(slow_factor), observed, math.sqrt(observed), result.best_eta,
+                        result.best_on_grid_edge, len(best), best.total_sim_time,
+                        last_k_error(best))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("preset", ["quadratic", "logistic"])
+def test_raced_scaling_points_equal_tuned_and_rerun_points(preset, seed):
+    objective = make_quadratic(10, 1.0, 2.0, seed=seed) if preset == "quadratic" \
+        else make_logistic(100, 20, seed=seed)
+    grid = default_log_grid(points_per_decade=4)
+    for slow_factor in (1, 3, 16, 100):
+        args = (objective, slow_factor, 1e-14, grid, 200_000, seed)
+        assert _scaling_point(*args) == tuned_and_rerun_point(*args), slow_factor
+
+
+def test_scaling_runs_no_tuning_and_no_rerun(monkeypatch):
+    """The sweep steps only through its races: each stops its schedule at the winner's T."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module in (cli, stepsize):
+        monkeypatch.setattr(module, "grid_tune", refuse)
+    for module in (cli, engine):
+        monkeypatch.setattr(module, "run_homogeneous", refuse)
+    schedules = []
+
+    class Recorded(engine.Schedule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            schedules.append(self)
+
+    monkeypatch.setattr(engine, "Schedule", Recorded)
+    report = scaling_experiment("quadratic", [1, 4, 16])
+    assert len(schedules) == 3
+    assert sum(len(schedule.delays) for schedule in schedules) == \
+        sum(point.iterations_to_target for point in report.points)
