@@ -65,11 +65,10 @@ from .stepsize import (
     ConstantStepsize,
     DelayAdaptiveStepsize,
     TheoreticalConstantStepsize,
-    TuneOutcome,
     TuningResult,
     adaptive_eta_bounds,
     default_log_grid,
-    grid_tune,
+    select_stepsize,
 )
 
 
@@ -268,10 +267,9 @@ class ExperimentConfig(NamedTuple):
         lipschitz = keys.pop("lipschitz", self.objective.smoothness)
         if kind == "theoretical":
             _expect(eta is None, path, "the theoretical stepsize cannot be grid-tuned")
-            keys = {"max_delay": float(concurrency),
-                    "initial_gap": self.objective.value(self.x0)} | keys
+            keys = {"max_delay": concurrency, "initial_gap": self.objective.value(self.x0)} | keys
             return _at(path, TheoreticalConstantStepsize, lipschitz=lipschitz,
-                       concurrency=float(concurrency), sigma=self.noise.sigma,
+                       concurrency=concurrency, sigma=self.noise.sigma,
                        horizon=self.stop.max_iterations, **keys)
         if eta is not None:
             keys["eta"] = eta
@@ -359,30 +357,12 @@ def run_config(cfg: ExperimentConfig, master_seed: int, stepsize=None):
 
 def tune(objective, noise, workers, policy, make_stepsize, x0, stop: StopRule, seed: int,
          grid, criterion: str) -> TuningResult:
-    """``grid_tune`` of ``make_stepsize(eta)`` over ``grid``, answered from one lockstep run.
-
-    grid_tune's first ``run(eta, budget)`` call runs every stepsize at once
-    with ``run_grid``, largest first and, under ``min_T_to_eps``, with the
-    dominance budgets that grid_tune hands out; each call then takes the
-    next outcome that the lockstep run did not skip.
-    """
-    pending = None
-
-    def run(eta: float, budget: Optional[int]) -> TuneOutcome:
-        nonlocal pending
-        if pending is None:
-            etas = sorted((float(g) for g in grid), reverse=True)
-            outcomes = run_grid(objective, noise, workers, policy,
-                                [make_stepsize(e) for e in etas], x0, stop, master_seed=seed,
-                                dominance=criterion == "min_T_to_eps")
-            pending = iter([(e, o) for e, o in zip(etas, outcomes) if o is not None])
-        point, outcome = next(pending)
-        if point != eta:
-            raise RuntimeError(f"grid_tune asked for eta {eta}; the lockstep run's next "
-                               f"point is {point}")
-        return outcome
-
-    return grid_tune(run, grid, criterion)
+    """``select_stepsize`` of ``make_stepsize(eta)`` over ``grid``, from the outcomes of one
+    ``run_grid``: largest stepsize first and, under ``min_T_to_eps``, with its dominance."""
+    etas = sorted((float(g) for g in grid), reverse=True)
+    outcomes = run_grid(objective, noise, workers, policy, [make_stepsize(e) for e in etas], x0,
+                        stop, master_seed=seed, dominance=criterion == "min_T_to_eps")
+    return select_stepsize(etas, outcomes, criterion)
 
 
 # ---------------------------------------------------------------------------

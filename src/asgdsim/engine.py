@@ -549,10 +549,13 @@ def _lockstep(objective, noise: NoiseModel, schedule: Schedule, rules: Sequence,
     vectors and eta as a float: the step kernels, picked whenever the column
     count changes, give every row the bits of ``value_and_gradient``.
 
-    ``dominance`` applies ``grid_tune``'s ``min_T_to_eps`` budgets (columns
-    largest stepsize first): a column that reaches the target at step T stops
-    every later one still running by a cap at T - 1.  ``record`` (one column)
-    is a pair of lists that collects eta per step and the value per iterate.
+    ``dominance`` is the budget rule of ``min_T_to_eps`` tuning, with the
+    columns largest stepsize first: a column that reaches the target at step
+    T can only be beaten by a later column that reaches it sooner, so every
+    later column still running stops by a cap at T - 1 (at step 0, before its
+    first step, when T is 1).  Such a column yields the norms up to T - 1 but
+    the iterate of step T.  ``record`` (one column) is a pair of lists that
+    collects eta per step and the value per iterate.
 
     A generator: it yields ``(column, end, verdict, norms, x)`` for each column
     as it stops, in step order, then row order: the stop step and verdict, the
@@ -594,7 +597,6 @@ def _lockstep(objective, noise: NoiseModel, schedule: Schedule, rules: Sequence,
             if verdict is not None:
                 stops[row] = (t, verdict)
                 if dominance and verdict == "target":
-                    # grid_tune would have capped every later column at t - 1
                     stops.update((later, (t - 1, "cap")) for later in range(row + 1, len(cols)))
                     break
         return stops or None
@@ -692,13 +694,13 @@ def race_grid(objective, noise: NoiseModel, workers: Sequence, policy, stepsizes
     """The first column of a ``_lockstep`` run to stop at the target; the run ends there.
 
     Columns stop in step order, then row order, so with ``stepsizes`` largest
-    first this is ``grid_tune``'s ``min_T_to_eps`` winner (ties to the larger
-    stepsize), and no other column runs past its step.  Returns ``(column,
-    end, norms, schedule)``: the winner's index and stop step, its gradient
-    norms up to ``end`` (the last ``ERROR_WINDOW`` at least) and the schedule,
-    stopped at ``end``, whose ``close()`` is the winner's ledger and whose
-    ``finish_times[-1]`` its total simulated time.  None when no column
-    reaches the target.
+    first this is the ``min_T_to_eps`` winner that ``select_stepsize`` picks
+    from ``run_grid`` (ties to the larger stepsize), and no other column runs
+    past its step.  Returns ``(column, end, norms, schedule)``: the winner's
+    index and stop step, its gradient norms up to ``end`` (the last
+    ``ERROR_WINDOW`` at least) and the schedule, stopped at ``end``, whose
+    ``close()`` is the winner's ledger and whose ``finish_times[-1]`` its total
+    simulated time.  None when no column reaches the target.
     """
     schedule = Schedule(workers, policy, master_seed)
     for column, end, verdict, norms, _ in _lockstep(objective, noise, schedule, stepsizes, x0,

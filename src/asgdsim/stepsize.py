@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -78,15 +78,28 @@ def theoretical_constant_eta(
     initial_gap: float = 0.0,
     horizon: int = 0,
 ) -> float:
-    """Constant stepsize from the convergence analysis; see module docstring."""
+    """Constant stepsize from the convergence analysis; see module docstring.
+
+    Inputs whose formula cannot be computed in floats are refused: an overflow,
+    a division by a product that underflows to 0, or a branch that comes out 0
+    or infinite though its exact value is neither.  The stepsize is 0 only where
+    the formula says so, at ``initial_gap`` 0 in a noisy run.
+    """
     if lipschitz <= 0 or max_delay <= 0 or concurrency <= 0:
         raise InvalidSpecError("lipschitz, max_delay and concurrency must be positive")
     if sigma < 0 or initial_gap < 0 or horizon < 0:
         raise InvalidSpecError("sigma, initial_gap and horizon must be non-negative")
-    first = 1.0 / (2.0 * lipschitz * math.sqrt(max_delay * concurrency))
-    if sigma == 0.0:
-        return first
-    second = math.sqrt(initial_gap / (2.0 * lipschitz * sigma**2 * (horizon + 1)))
+    try:  # float() of an integer past the float range raises, and so does sigma**2 past it
+        first = 1.0 / (2.0 * lipschitz * math.sqrt(float(max_delay) * float(concurrency)))
+        second = (math.sqrt(initial_gap / (2.0 * lipschitz * sigma**2 * (horizon + 1)))
+                  if sigma else math.inf)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidSpecError(f"the theoretical stepsize overflows or divides by 0: {exc}") from None
+    # a product past the float range makes a quotient 0, a factor below it makes one inf
+    if not 0.0 < first < math.inf:
+        raise InvalidSpecError(f"1 / (2 L sqrt(max_delay * concurrency)) comes out {first}")
+    if second == 0.0 < initial_gap:
+        raise InvalidSpecError("sqrt(initial_gap / (2 L sigma^2 (horizon + 1))) comes out 0")
     return min(first, second)
 
 
@@ -185,68 +198,47 @@ class TuningResult:
         return asdict(self) | {"points": [p.to_dict() for p in self.points]}
 
 
-def grid_tune(
-    run: Callable[[float, Optional[int]], TuneOutcome],
-    grid: Sequence[float],
+def select_stepsize(
+    etas: Sequence[float],
+    outcomes: Sequence[Optional[TuneOutcome]],
     criterion: str = "min_T_to_eps",
 ) -> TuningResult:
-    """Evaluate ``run`` on every grid point and pick the best stepsize.
+    """The best stepsize of a grid, from ``outcomes[k]``, the finished outcome of ``etas[k]``.
 
-    ``run(eta, budget)`` must return a ``TuneOutcome``; ``budget`` is an
-    iteration cap the runner may honour (None means the runner's default).
+    None is a point cut before its first step (``run_grid``'s dominance); it is
+    reported with no metric, iteration count or final error.  Criteria:
 
-    Criteria:
+    * ``min_T_to_eps``    smallest iteration count to the target.
+    * ``min_final_error`` smallest final error.
 
-    * ``min_T_to_eps``    smallest iteration count to the runner's target.
-      Points are evaluated from the largest stepsize down, and once some
-      point has reached the target in B iterations later points only get a
-      budget of B - 1: they can no longer win, so cutting them short changes
-      nothing about the winner.  Ties prefer the larger stepsize.
-    * ``min_final_error`` smallest final error at the full budget.
-
-    Raises ``TuningFailedError`` when no grid point produces a usable metric.
+    Ties prefer the larger stepsize.  Raises ``TuningFailedError`` when no grid
+    point produces a usable metric.
     """
     if criterion not in TUNING_CRITERIA:
         raise InvalidSpecError(f"unknown tuning criterion {criterion!r}")
-    grid = sorted(float(g) for g in grid)
+    grid = sorted(float(g) for g in etas)
     if not grid or len(set(grid)) < len(grid):
         raise InvalidSpecError(f"tuning grid must be non-empty and hold no point twice, got {grid}")
 
     points: dict[float, TunePoint] = {}
-    best_eta = None
-    best_metric = math.inf
-    for eta in reversed(grid):
-        budget = None
-        if criterion == "min_T_to_eps" and math.isfinite(best_metric):
-            budget = int(best_metric) - 1
-            if budget < 1:
-                points[eta] = TunePoint(eta, math.inf, None, math.nan, False)
-                continue
-        outcome = run(eta, budget)
+    for eta, outcome in zip(etas, outcomes, strict=True):
+        if outcome is None:
+            outcome = TuneOutcome(None, math.nan, False)
         if criterion == "min_T_to_eps":
-            metric = (
-                math.inf
-                if outcome.iterations_to_target is None or outcome.diverged
-                else float(outcome.iterations_to_target)
-            )
+            reached = outcome.iterations_to_target is not None and not outcome.diverged
+            metric = float(outcome.iterations_to_target) if reached else math.inf
         else:
-            metric = (
-                math.inf
-                if outcome.diverged or not math.isfinite(outcome.final_error)
-                else outcome.final_error
-            )
-        points[eta] = TunePoint(
-            eta, metric, outcome.iterations_to_target, outcome.final_error, outcome.diverged
-        )
-        if metric < best_metric:
-            best_metric = metric
-            best_eta = eta
+            usable = not outcome.diverged and math.isfinite(outcome.final_error)
+            metric = outcome.final_error if usable else math.inf
+        points[float(eta)] = TunePoint(float(eta), metric, *outcome)
 
-    if best_eta is None:
+    ordered = [points[g] for g in grid]
+    # min keeps the first of equal metrics, so a tie goes to the larger stepsize
+    best = min(reversed(ordered), key=lambda point: point.metric)
+    if math.isinf(best.metric):
         raise TuningFailedError(
             "no stepsize on the grid produced a usable run",
-            points=[points[g].to_dict() for g in grid],
+            points=[point.to_dict() for point in ordered],
         )
-    ordered = [points[g] for g in grid]
-    edge = best_eta == grid[0] or best_eta == grid[-1]
-    return TuningResult(criterion, grid, ordered, best_eta, best_metric, edge)
+    edge = best.eta in (grid[0], grid[-1])
+    return TuningResult(criterion, grid, ordered, best.eta, best.metric, edge)

@@ -28,7 +28,7 @@ from asgdsim import (
     run_homogeneous,
 )
 from asgdsim import metrics
-from asgdsim.cli import main, scaling_experiment
+from asgdsim.cli import main, scaling_experiment, tune
 from asgdsim.objectives import finite_difference_gradient
 from asgdsim.rng import named_stream
 from asgdsim.speedup import (
@@ -39,12 +39,7 @@ from asgdsim.speedup import (
     minibatch_weights,
     speedup_ratio,
 )
-from asgdsim.stepsize import (
-    TuneOutcome,
-    default_log_grid,
-    grid_tune,
-    theoretical_constant_eta,
-)
+from asgdsim.stepsize import default_log_grid, theoretical_constant_eta
 from asgdsim.verify import random_run
 
 
@@ -236,13 +231,8 @@ def test_07_delay_adaptive_rule_survives_a_straggler():
 
     clean = constant_fleet([1.0])
 
-    def tune_runner(eta, budget):
-        trace = run_with(ConstantStepsize(eta), clean)
-        return TuneOutcome(iterations_to_target=None,
-                           final_error=metrics.last_k_error(trace),
-                           diverged=trace.diverged)
-
-    tuned = grid_tune(tune_runner, default_log_grid(), criterion="min_final_error")
+    tuned = tune(obj, noise, clean, MaxConcurrency(), ConstantStepsize, x0, stop, 7,
+                 default_log_grid(), "min_final_error")
     base_error = metrics.last_k_error(run_with(ConstantStepsize(tuned.best_eta), clean))
 
     straggler = constant_fleet([1.0, 786.0])

@@ -172,6 +172,25 @@ BAD_EXAMPLES = {
         lambda d: d.update(policy={"kind": "uniform_client_sampling",
                                    "concurrency": cli.MAX_FLEET + 1}),
         "config.policy.concurrency"),
+    # the theoretical stepsize refuses what its formula cannot compute in floats
+    "theoretical_sigma_squared_overflows": (
+        lambda d: d.update(noise_sigma=1e308, stepsize={"kind": "theoretical"}),
+        "config.stepsize"),
+    "theoretical_sigma_squared_underflows": (
+        lambda d: d.update(noise_sigma=1e-320, stepsize={"kind": "theoretical"}),
+        "config.stepsize"),
+    "theoretical_noise_product_overflows": (
+        lambda d: d.update(noise_sigma=1e154, stepsize={"kind": "theoretical"}),
+        "config.stepsize"),
+    "theoretical_concurrency_past_the_float_range": (
+        lambda d: d.update(stepsize={"kind": "theoretical", "concurrency": 10**400}),
+        "config.stepsize"),
+    "theoretical_eta_underflows_to_zero": (
+        lambda d: d.update(stepsize={"kind": "theoretical", "max_delay": 1e308}),
+        "config.stepsize"),
+    "theoretical_eta_overflows_to_inf": (
+        lambda d: d.update(stepsize={"kind": "theoretical", "lipschitz": 1e-320}),
+        "config.stepsize"),
     # one-step runs, so that a missing bound costs 1,001 short runs, not 1,001 long ones
     "replicas_past_the_bound": (
         lambda d: d.update(replicas=cli.MAX_REPLICAS + 1, stop={"max_iterations": 1}),

@@ -1,11 +1,14 @@
 """Lockstep grid tuning against the sequential oracle, and the grid race against tuning.
 
-``sequential_runner`` is the per-point tuning runner that ``tune``,
-``compare`` and ``scaling`` used before the grid ran in lockstep: one full
-``run_homogeneous``/``run_heterogeneous`` per grid point, capped at the
-budget ``grid_tune`` hands it.  ``cli.tune`` answers the same calls from one
-``engine.run_grid``; every ``TuningResult`` and every ``TuningFailedError``
-point list must be equal.
+``Case.sequential_tune`` is the oracle: one ``run_homogeneous``/
+``run_heterogeneous`` per grid point, as ``tune``, ``compare`` and
+``scaling`` ran before the grid ran in lockstep, under its own
+``min_T_to_eps`` budget loop (largest stepsize first; once a point reaches
+the target in T steps, each later point is capped at T - 1 and skipped when
+that is below 1).  ``cli.tune`` takes the budgets from one
+``engine.run_grid``; both hand their outcomes to ``select_stepsize``, and
+every ``TuningResult`` and every ``TuningFailedError`` point list must be
+equal.
 
 ``scaling`` races its grid instead (``engine.race_grid``): the lockstep run
 ends at the first column to reach the target, and that column is the sweep
@@ -37,12 +40,12 @@ from asgdsim import (
     UniformClientSampling,
     constant_fleet,
     default_log_grid,
-    grid_tune,
     make_heterogeneous,
     make_logistic,
     make_quadratic,
     run_heterogeneous,
     run_homogeneous,
+    select_stepsize,
 )
 from asgdsim import cli, engine, stepsize
 from asgdsim.cli import _scaling_point, _scaling_run, scaling_experiment, tune
@@ -80,24 +83,25 @@ class Case:
                     self.x0, self.stop, self.seed, self.grid, self.criterion)
 
     def sequential_tune(self):
-        return grid_tune(sequential_runner(self.simulate, self.stop), self.grid, self.criterion)
-
-
-def sequential_runner(simulate, stop: StopRule):
-    """One capped run per grid point: ``simulate(eta, capped_stop)``."""
-
-    def run(eta, budget):
-        capped = stop
-        if budget is not None and budget < stop.max_iterations:
-            capped = dataclasses.replace(stop, max_iterations=budget)
-        trace = simulate(eta, capped)
-        return TuneOutcome(
-            iterations_to_target=len(trace) if trace.converged and stop.has_target else None,
-            final_error=last_k_error(trace),
-            diverged=trace.diverged,
-        )
-
-    return run
+        """One run per grid point, largest stepsize first, under the ``min_T_to_eps``
+        budgets: after a point reaches the target in T steps, later ones get T - 1."""
+        etas = sorted(self.grid, reverse=True)
+        outcomes, best = [], math.inf
+        for eta in etas:
+            stop = self.stop
+            if self.criterion == "min_T_to_eps" and best < math.inf:
+                if best - 1 < 1:
+                    outcomes.append(None)  # cut before its first step
+                    continue
+                if best - 1 < stop.max_iterations:
+                    stop = dataclasses.replace(stop, max_iterations=best - 1)
+            trace = self.simulate(eta, stop)
+            reached = trace.converged and self.stop.has_target
+            outcomes.append(TuneOutcome(len(trace) if reached else None, last_k_error(trace),
+                                        trace.diverged))
+            if reached:
+                best = len(trace)
+        return select_stepsize(etas, outcomes, self.criterion)
 
 
 def outcome(tuning):
@@ -250,6 +254,28 @@ class TestEdgeCases:
         case.grid = [0.03, 0.1, 0.1, 1.0]
         assert_lockstep_matches_sequential(case)
 
+    def test_dominance_caps_only_the_points_after_the_winner(self):
+        """The larger stepsizes keep their own ends, one of them past the winner's step T;
+        every smaller one is capped at T - 1, one that would reach the target later too."""
+        case = straggler_case(grad_tol=1e-3)
+        etas = sorted(case.grid, reverse=True)
+        outcomes = run_grid(case.objective, case.noise, case.workers, case.policy,
+                            [ConstantStepsize(e) for e in etas], case.x0, case.stop,
+                            dominance=True)
+        full = [case.simulate(eta, case.stop) for eta in etas]
+        win = next(k for k, trace in enumerate(full) if trace.stop_reason == "target")
+        end = len(full[win])
+        assert any(len(trace) > end for trace in full[:win])
+        assert any(trace.stop_reason == "target" for trace in full[win + 1:])
+        capped = [case.simulate(eta, dataclasses.replace(case.stop, max_iterations=end - 1))
+                  for eta in etas[win + 1:]]
+        assert outcomes == [
+            TuneOutcome(len(trace) if trace.stop_reason == "target" else None,
+                        last_k_error(trace), trace.diverged)
+            for trace in full[:win + 1] + capped]
+        assert all(trace.stop_reason == "cap" for trace in capped)
+        assert_lockstep_matches_sequential(case)
+
     def test_target_at_step_one_skips_every_later_point(self):
         case = straggler_case(grad_tol=1e9)
         outcomes = run_grid(case.objective, case.noise, case.workers, case.policy,
@@ -374,7 +400,7 @@ def test_scaling_runs_no_tuning_and_no_rerun(monkeypatch):
         raise AssertionError("called")
 
     for module in (cli, stepsize):
-        monkeypatch.setattr(module, "grid_tune", refuse)
+        monkeypatch.setattr(module, "select_stepsize", refuse)
     for module in (cli, engine):
         monkeypatch.setattr(module, "run_homogeneous", refuse)
     schedules = []

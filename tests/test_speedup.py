@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,6 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asgdsim import InvalidSpecError
+from asgdsim.engine import (
+    MaxConcurrency,
+    SampledMiniBatch,
+    Schedule,
+    UniformClientSampling,
+    constant_fleet,
+)
 from asgdsim.speedup import (
     ENUMERATION_BUDGET,
     MONTE_CARLO_BLOCK,
@@ -226,3 +234,40 @@ class TestOrderingProperties:
         inp = SpeedupInput(tuple(deltas), concurrency=concurrency)
         t = minibatch_time(inp)
         assert min(deltas) - 1e-9 <= t <= max(deltas) + 1e-9
+
+
+def time_per_round(deltas, policy, rounds, concurrency, seed=1, groups=40):
+    """Simulated time per ``concurrency`` applied gradients on ``engine.Schedule`` alone,
+    over ``rounds`` rounds, and its standard error from the means of ``groups`` blocks."""
+    schedule = Schedule(constant_fleet(deltas), policy, seed)
+    for _ in itertools.islice(schedule, rounds * concurrency + 1):  # the seeded jobs first
+        pass
+    ends = np.array(schedule.finish_times)[concurrency - 1::concurrency]
+    durations = np.diff(ends, prepend=0.0)
+    block_means = durations.reshape(groups, -1).mean(axis=1)
+    return durations.mean(), block_means.std(ddof=1) / math.sqrt(groups)
+
+
+class TestClosedFormsAgainstTheSchedule:
+    """The closed forms against the simulator's clock, where their models agree.  A sampled
+    minibatch may draw a client twice and run its jobs one after the other, which the
+    closed form's E max ignores; with 1,000 clients and C = 10 that bias is about one
+    standard error.  The bound is 4 standard errors of the sample."""
+
+    MIXED = fleet((10, 900), (60, 100))
+
+    @pytest.mark.parametrize("policy,closed_form", [
+        (SampledMiniBatch(10), minibatch_time),
+        (UniformClientSampling(10), async_time),
+    ], ids=["sampled_minibatch", "uniform_client_sampling"])
+    def test_mixed_fleet(self, policy, closed_form):
+        mean, stderr = time_per_round(self.MIXED, policy, rounds=2000, concurrency=10)
+        expected = closed_form(SpeedupInput(self.MIXED, concurrency=10))
+        assert stderr > 0 and abs(mean - expected) <= 4 * stderr, (mean, stderr, expected)
+
+    def test_max_concurrency_runs_at_the_harmonic_rate(self):
+        # every worker computes back to back: n jobs per n / sum(1 / delta) time units
+        deltas = fleet((10, 9), (60, 1))
+        mean, stderr = time_per_round(deltas, MaxConcurrency(), rounds=2000, concurrency=10)
+        expected = len(deltas) / sum(1 / d for d in deltas)
+        assert stderr > 0 and abs(mean - expected) <= 4 * stderr, (mean, stderr, expected)

@@ -13,7 +13,7 @@ from asgdsim import (
     TuningFailedError,
     adaptive_eta_bounds,
     default_log_grid,
-    grid_tune,
+    select_stepsize,
     theoretical_constant_eta,
 )
 from asgdsim.stepsize import MAX_GRID_POINTS
@@ -117,6 +117,27 @@ class TestTheoreticalEta:
         with pytest.raises(InvalidSpecError):
             theoretical_constant_eta(1.0, 1.0, 1.0, sigma=-1.0)
 
+    @pytest.mark.parametrize("args,kwargs", [
+        ((4.0, 10.0, 10**400), {}),  # float() of the integer overflows
+        ((4.0, 10.0, 10.0), {"sigma": 1e308, "initial_gap": 1.0}),  # sigma**2 overflows
+        ((4.0, 10.0, 10.0), {"sigma": 1e-320, "initial_gap": 1.0}),  # sigma**2 underflows to 0
+        ((4.0, 10.0, 10.0), {"sigma": 1.0, "initial_gap": 1.0, "horizon": 10**400}),
+        ((4.0, 1e308, 10.0), {}),  # max_delay * concurrency overflows: eta would be 0
+        ((1e-320, 10.0, 10.0), {}),  # 1 / (2 L ...) overflows: eta would be inf
+        ((4.0, 10.0, 10.0), {"sigma": 1e154, "initial_gap": 1.0}),  # 2 L sigma^2 overflows
+        ((4.0, 10.0, 10.0), {"sigma": 1e100, "initial_gap": 1e-300}),  # the quotient underflows
+    ], ids=["concurrency_past_the_floats", "sigma_squared_overflows", "sigma_squared_underflows",
+            "horizon_past_the_floats", "delay_product_overflows", "lipschitz_underflows",
+            "noise_product_overflows", "noise_quotient_underflows"])
+    def test_what_the_formula_cannot_compute_is_refused(self, args, kwargs):
+        with pytest.raises(InvalidSpecError, match="theoretical stepsize|comes out"):
+            theoretical_constant_eta(*args, **kwargs)
+
+    def test_zero_initial_gap_gives_zero_in_a_noisy_run(self):
+        # the formula's own answer: a start at the optimum stays there
+        assert theoretical_constant_eta(4.0, 10.0, 10.0, sigma=1.0, initial_gap=0.0) == 0.0
+        assert theoretical_constant_eta(4.0, 10.0, 10.0, initial_gap=0.0) > 0.0
+
 
 class TestAdaptiveBounds:
     def test_concurrency_bound_is_tighter(self):
@@ -160,107 +181,103 @@ class TestLogGrid:
         assert len(default_log_grid(MAX_GRID_POINTS - 1, 1.0, 10.0)) == MAX_GRID_POINTS
 
 
-def synthetic_runner(t_of_eta, cap=10_000):
-    """Build a run(eta, budget) callback from a dict eta -> iterations."""
-    calls = []
-
-    def run(eta, budget):
-        calls.append((eta, budget))
+def synthetic_outcomes(t_of_eta, grid, cap=10_000):
+    """The outcome of every point of ``grid``, from ``t_of_eta(eta)``: the iterations to
+    the target, or None for a diverging point."""
+    outcomes = []
+    for eta in grid:
         t = t_of_eta(eta)
-        limit = cap if budget is None else min(budget, cap)
-        if t is None:  # diverged
-            return TuneOutcome(None, math.inf, True)
-        if t > limit:
-            return TuneOutcome(None, 1.0 / t, False)
-        return TuneOutcome(t, 1e-15, False)
+        if t is None:
+            outcomes.append(TuneOutcome(None, math.inf, True))
+        elif t > cap:
+            outcomes.append(TuneOutcome(None, 1.0 / t, False))
+        else:
+            outcomes.append(TuneOutcome(t, 1e-15, False))
+    return outcomes
 
-    return run, calls
+
+def select(t_of_eta, grid, **kwargs):
+    return select_stepsize(grid, synthetic_outcomes(t_of_eta, grid), **kwargs)
 
 
-class TestGridTune:
+class TestSelectStepsize:
+    """The winner from finished outcomes; the min_T_to_eps budgets that cut the
+    outcomes short are ``engine._lockstep``'s, tested in ``tests/test_lockstep.py``."""
+
     def test_picks_interior_minimum(self):
         # iteration count is U-shaped with minimum at eta = 1.0
-        run, _ = synthetic_runner(lambda e: int(100 * (math.log10(e) ** 2 + 1)))
-        result = grid_tune(run, [0.01, 0.1, 1.0, 10.0, 100.0])
+        result = select(lambda e: int(100 * (math.log10(e) ** 2 + 1)),
+                        [0.01, 0.1, 1.0, 10.0, 100.0])
         assert result.best_eta == 1.0
         assert result.best_metric == 100
         assert not result.best_on_grid_edge
 
     def test_diverging_large_stepsizes_skipped_over(self):
-        run, _ = synthetic_runner(lambda e: None if e > 1.0 else int(50 / e))
-        result = grid_tune(run, [0.1, 1.0, 10.0, 100.0])
+        result = select(lambda e: None if e > 1.0 else int(50 / e), [0.1, 1.0, 10.0, 100.0])
         assert result.best_eta == 1.0
         points = {p.eta: p for p in result.points}
         assert points[10.0].diverged and math.isinf(points[10.0].metric)
 
-    def test_dominance_budget_shrinks_after_first_success(self):
-        run, calls = synthetic_runner(lambda e: {100.0: None, 10.0: 50, 1.0: 200}[e])
-        grid_tune(run, [1.0, 10.0, 100.0])
-        budgets = {eta: budget for eta, budget in calls}
-        assert budgets[100.0] is None       # nothing converged yet
-        assert budgets[10.0] is None        # still nothing
-        assert budgets[1.0] == 49           # can only win below 50
-
-    def test_budget_never_resurrects_a_worse_point(self):
-        # the budgeted run cannot reach the target, so the first success stays
-        run, _ = synthetic_runner(lambda e: 50 if e == 10.0 else 200)
-        result = grid_tune(run, [0.1, 1.0, 10.0])
-        assert result.best_eta == 10.0
-        assert result.best_metric == 50
+    def test_a_point_that_missed_the_target_never_wins(self):
+        # a smaller stepsize cut short of the target (its budget ran out) stays behind
+        result = select_stepsize([10.0, 1.0, 0.1], [TuneOutcome(50, 1e-15, False),
+                                                    TuneOutcome(None, 1e-3, False),
+                                                    TuneOutcome(None, 1e-20, False)])
+        assert (result.best_eta, result.best_metric) == (10.0, 50)
 
     def test_tie_prefers_larger_stepsize(self):
-        run, _ = synthetic_runner(lambda e: 75)
-        result = grid_tune(run, [0.1, 1.0, 10.0])
-        assert result.best_eta == 10.0
+        assert select(lambda e: 75, [0.1, 1.0, 10.0]).best_eta == 10.0
+        assert select(lambda e: 75, [10.0, 1.0, 0.1]).best_eta == 10.0  # whatever the order
 
-    def test_instant_success_skips_the_rest(self):
-        run, calls = synthetic_runner(lambda e: 1)
-        result = grid_tune(run, [0.1, 1.0, 10.0])
-        assert result.best_eta == 10.0
-        assert len(calls) == 1  # budget 0 for the others means no run at all
+    def test_cut_points_are_reported_without_metric(self):
+        # cut before their first step: what the dominance budgets leave of a grid whose
+        # largest point reached the target at step 1
+        result = select_stepsize([10.0, 1.0, 0.1], [TuneOutcome(1, 0.5, False), None, None])
+        assert (result.best_eta, result.best_metric) == (10.0, 1.0)
+        for point in result.to_dict()["points"][:2]:
+            assert point["metric"] is None and point["iterations_to_target"] is None
+            assert point["final_error"] is None and point["diverged"] is False
+        result = select_stepsize([10.0, 1.0], [None, TuneOutcome(None, 0.5, False)],
+                                 criterion="min_final_error")
+        assert result.best_eta == 1.0
 
     def test_edge_flag_raised_on_boundary_winner(self):
-        run, _ = synthetic_runner(lambda e: int(10 / e))
-        result = grid_tune(run, [0.1, 1.0, 10.0])
+        result = select(lambda e: int(10 / e), [0.1, 1.0, 10.0])
         assert result.best_eta == 10.0
         assert result.best_on_grid_edge
 
     def test_all_failures_raise(self):
-        run, _ = synthetic_runner(lambda e: None)
         with pytest.raises(TuningFailedError) as err:
-            grid_tune(run, [0.1, 1.0])
+            select(lambda e: None, [0.1, 1.0])
         assert len(err.value.points) == 2
 
-    def test_min_final_error_criterion(self):
-        def run(eta, budget):
-            return TuneOutcome(None, abs(math.log10(eta) - 0.5), False)
+    def test_only_cut_points_raise(self):
+        with pytest.raises(TuningFailedError) as err:
+            select_stepsize([1.0, 0.1], [TuneOutcome(None, 1.0, False), None])
+        assert [p["eta"] for p in err.value.points] == [0.1, 1.0]
 
-        result = grid_tune(run, [0.01, 0.1, 1.0, 10.0, 100.0],
-                           criterion="min_final_error")
+    def test_min_final_error_criterion(self):
+        grid = [0.01, 0.1, 1.0, 10.0, 100.0]
+        outcomes = [TuneOutcome(None, abs(math.log10(eta) - 0.5), False) for eta in grid]
+        result = select_stepsize(grid, outcomes, criterion="min_final_error")
         assert result.best_eta == 10.0  # log10 = 1.0, closest to 0.5 among the grid
 
     def test_min_final_error_tie_prefers_larger(self):
-        def run(eta, budget):
-            return TuneOutcome(None, 1.0, False)
-
-        result = grid_tune(run, [0.1, 1.0], criterion="min_final_error")
+        result = select_stepsize([0.1, 1.0], [TuneOutcome(None, 1.0, False)] * 2,
+                                 criterion="min_final_error")
         assert result.best_eta == 1.0
 
     def test_repeated_point_rejected(self):
-        # a second copy would overwrite the first in the report under another budget
-        run, calls = synthetic_runner(lambda e: 10)
+        # a second copy would overwrite the first in the report
         with pytest.raises(InvalidSpecError, match="twice"):
-            grid_tune(run, [0.1, 0.3, 0.1])
-        assert calls == []
+            select(lambda e: 10, [0.1, 0.3, 0.1])
 
     def test_unknown_criterion_rejected(self):
-        run, _ = synthetic_runner(lambda e: 1)
         with pytest.raises(InvalidSpecError):
-            grid_tune(run, [1.0], criterion="argmin")
+            select(lambda e: 1, [1.0], criterion="argmin")
 
     def test_result_is_json_ready(self):
-        run, _ = synthetic_runner(lambda e: None if e > 1 else 40)
-        result = grid_tune(run, [0.1, 1.0, 10.0])
+        result = select(lambda e: None if e > 1 else 40, [0.1, 1.0, 10.0])
         payload = result.to_dict()
         assert payload["best_eta"] == 1.0
         assert [p["eta"] for p in payload["points"]] == [0.1, 1.0, 10.0]
