@@ -34,7 +34,6 @@ from .metrics import (
     max_concurrency,
     max_delay,
     summary,
-    weighted_grad_norm_average,
 )
 from .objectives import (
     HeterogeneousFamily,
@@ -70,61 +69,3 @@ from .stepsize import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantStepsize",
-    "ConstantTime",
-    "CustomSelection",
-    "DelayAdaptiveStepsize",
-    "DelayLedger",
-    "HeterogeneousFamily",
-    "InvalidConfigError",
-    "InvalidSelectionError",
-    "InvalidSpecError",
-    "LogNormalTime",
-    "LogisticObjective",
-    "MaxConcurrency",
-    "MiniBatch",
-    "NoiseModel",
-    "OracleEstimate",
-    "QuadraticObjective",
-    "RunTrace",
-    "SampledMiniBatch",
-    "SimulationDeadlockError",
-    "SimulatorError",
-    "SpeedupInput",
-    "StopRule",
-    "StragglerTime",
-    "TheoreticalConstantStepsize",
-    "TuneOutcome",
-    "TuningFailedError",
-    "TuningResult",
-    "UndefinedStatisticError",
-    "UniformClientSampling",
-    "adaptive_eta_bounds",
-    "async_time",
-    "average_concurrency_exact",
-    "average_delay_exact",
-    "average_delay_per_client_exact",
-    "constant_fleet",
-    "default_log_grid",
-    "delay_conservation",
-    "finite_difference_gradient",
-    "last_k_error",
-    "make_heterogeneous",
-    "make_logistic",
-    "make_quadratic",
-    "max_concurrency",
-    "max_delay",
-    "minibatch_time",
-    "minibatch_time_oracle",
-    "minibatch_weights",
-    "named_stream",
-    "run_heterogeneous",
-    "run_homogeneous",
-    "select_stepsize",
-    "speedup_ratio",
-    "stream_seed",
-    "summary",
-    "theoretical_constant_eta",
-    "weighted_grad_norm_average",
-]

@@ -148,7 +148,9 @@ STEPSIZES = {
 TUNING_KEYS = {
     "criterion": (str, TUNING_CRITERIA[0],
                   (TUNING_CRITERIA.__contains__, f"must be one of {list(TUNING_CRITERIA)}")),
-    "values": (list, None, (len, "must be a non-empty list")),
+    # each value is a lockstep column, as many as a log grid may have
+    "values": (list, None, (lambda v: 1 <= len(v) <= MAX_GRID_POINTS,
+                            f"must hold 1 to {MAX_GRID_POINTS} values")),
     "points_per_decade": (int, None, GRID_DENSITY),
     "low": (float, None, POSITIVE),
     "high": (float, None, None),
@@ -172,7 +174,8 @@ def _value(value, path: str, kind, bound=None):
             path, f"must be finite, got {value}")
     if bound is not None:
         ok, rule = bound
-        _expect(ok(value), path, f"{rule}, got {value!r}")
+        shown = f"a list of {len(value)}" if isinstance(value, list) else repr(value)
+        _expect(ok(value), path, f"{rule}, got {shown}")
     return value
 
 
@@ -325,8 +328,10 @@ def _build_tuning(spec: dict) -> tuple[list[float], str]:
     if values is None:
         return _at(path, default_log_grid, **keys), criterion
     grid = [_value(v, f"{path}.values[{i}]", float, POSITIVE) for i, v in enumerate(values)]
+    seen = set()
     for i, eta in enumerate(grid):
-        _expect(eta not in grid[:i], f"{path}.values[{i}]", f"repeats the value {eta}")
+        _expect(eta not in seen, f"{path}.values[{i}]", f"repeats the value {eta}")
+        seen.add(eta)
     return grid, criterion
 
 

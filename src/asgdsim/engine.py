@@ -294,10 +294,6 @@ class StopRule:
     def has_target(self) -> bool:
         return self.grad_tol is not None or self.last_k_tol is not None
 
-    def tracker(self, grad_norm: float) -> "StopTracker":
-        """The verdict state of one run that starts at gradient norm ``grad_norm``."""
-        return StopTracker(self, grad_norm)
-
 
 class StopTracker:
     """The stop verdict of one run, or of one column of a lockstep run.
@@ -572,7 +568,7 @@ def _lockstep(objective, noise: NoiseModel, schedule: Schedule, rules: Sequence,
     t, row = 0, 0  # row: the row whose verdict is being checked
     value, grad = objective.value_and_gradient(x)  # every column starts here
     norm = _norm(grad)
-    trackers = [stop.tracker(norm) for _ in cols]
+    trackers = [StopTracker(stop, norm) for _ in cols]
     if len(cols) > 1:
         x, grad, norm = (np.tile(x, (len(cols), 1)), np.tile(grad, (len(cols), 1)),
                          np.full(len(cols), norm))

@@ -10,7 +10,7 @@ derives its iteration count and each client's hand-out count from these
 columns.  The in-flight jobs are kept in application order, and two
 conventions count them:
 
-* Reported statistics (``average_delay``, ``max_delay``) exclude the
+* Reported statistics (``average_delay_exact``, ``max_delay``) exclude the
   in-flight job that would have been applied next, matching the convention
   that the last step's job is not counted among the leftovers.
 * The conservation check counts every job from its assignment step
@@ -91,10 +91,6 @@ def average_delay_exact(ledger: DelayLedger) -> Fraction:
     return Fraction(total, ledger.total_iterations + len(in_flight))
 
 
-def average_delay(ledger: DelayLedger) -> float:
-    return float(average_delay_exact(ledger))
-
-
 def max_delay(ledger: DelayLedger) -> int:
     """Largest delay among applied gradients and the reported in-flight set."""
     candidates = list(ledger.applied_delays) + ledger.in_flight_delays_reported()
@@ -105,10 +101,6 @@ def max_delay(ledger: DelayLedger) -> int:
 
 def average_concurrency_exact(ledger: DelayLedger) -> Fraction:
     return Fraction(sum(ledger.concurrency_log), len(ledger.concurrency_log))
-
-
-def average_concurrency(ledger: DelayLedger) -> float:
-    return float(average_concurrency_exact(ledger))
 
 
 def max_concurrency(ledger: DelayLedger) -> int:
@@ -128,39 +120,19 @@ def delay_conservation(ledger: DelayLedger) -> ConservationCheck:
     return ConservationCheck(lhs, rhs, lhs == rhs)
 
 
-def _delay_totals_per_client(ledger: DelayLedger) -> dict[int, int]:
-    """Exact summed delay of each client in one pass: its applied delays plus
-    T - s for every one of its jobs still in flight (none excluded)."""
+def average_delay_per_client_exact(ledger: DelayLedger) -> dict[int, Fraction]:
+    """Mean delay of each sampled client, in client order: its applied delays
+    plus T - s for every one of its jobs still in flight (none excluded),
+    divided by the number of times the client was handed work.  A client
+    that was never sampled is absent."""
     t = ledger.total_iterations
     totals: dict[int, int] = {}
     for d, c in zip(ledger.applied_delays, ledger.applied_clients):
         totals[c] = totals.get(c, 0) + d
     for s, c in zip(ledger.active_start_iterations, ledger.active_clients):
         totals[c] = totals.get(c, 0) + t - s
-    return totals
-
-
-def average_delay_per_client_exact(ledger: DelayLedger, client: int) -> Fraction:
-    """Per-client mean delay: applied plus every unapplied job of that client,
-    divided by the number of times the client was handed work."""
-    count = ledger.samples_per_client.get(client, 0)
-    if count == 0:
-        raise UndefinedStatisticError(f"client {client} was never sampled")
-    return Fraction(_delay_totals_per_client(ledger)[client], count)
-
-
-def average_delay_per_client(ledger: DelayLedger) -> dict[int, float]:
-    """``average_delay_per_client_exact`` of every sampled client, as floats."""
-    totals = _delay_totals_per_client(ledger)
-    return {
-        client: float(Fraction(totals[client], count))
-        for client, count in ledger.samples_per_client.items()
-    }
-
-
-def grad_norm_sequence(trace) -> np.ndarray:
-    """Gradient norms at every iterate x^0 .. x^T (trace rows plus the final point)."""
-    return np.append(np.asarray(trace.grad_norms, dtype=float), trace.final_grad_norm)
+    return {client: Fraction(totals[client], count)
+            for client, count in ledger.samples_per_client.items()}
 
 
 ERROR_WINDOW = 30  # last_k_error's default k: the final error that tuning compares
@@ -173,31 +145,12 @@ def window_error(norms, k: int = ERROR_WINDOW) -> float:
 
 
 def last_k_error(trace, k: int = ERROR_WINDOW) -> float:
-    """``window_error`` of the gradient norms along the iterate sequence."""
+    """``window_error`` of the gradient norms at every iterate x^0 .. x^T
+    (the trace rows plus the final point)."""
     if k < 1:
         raise UndefinedStatisticError("k must be at least 1")
-    return window_error(grad_norm_sequence(trace), k)
-
-
-def weighted_grad_norm_average(trace, weights: str = "uniform") -> float:
-    """Weighted average of squared gradient norms over the recorded iterations.
-
-    ``weights`` is one of "uniform", "assigned_count" (number of jobs handed
-    out at each step) or "stepsize" (eta_t, which skips dropped gradients).
-    """
-    squared = np.asarray(trace.grad_norms, dtype=float) ** 2
-    if weights == "uniform":
-        w = np.ones_like(squared)
-    elif weights == "assigned_count":
-        w = np.asarray(trace.n_assigned, dtype=float)
-    elif weights == "stepsize":
-        w = np.asarray(trace.stepsizes, dtype=float)
-    else:
-        raise UndefinedStatisticError(f"unknown weighting {weights!r}")
-    total = w.sum()
-    if total <= 0:
-        raise UndefinedStatisticError("weights sum to zero; the average is undefined")
-    return float((w * squared).sum() / total)
+    return window_error(np.append(np.asarray(trace.grad_norms, dtype=float),
+                                  trace.final_grad_norm), k)
 
 
 def _finite_or_none(value) -> Optional[float]:
@@ -224,10 +177,10 @@ def summary(trace) -> dict:
         "tau_avg": float(avg),
         "tau_avg_exact": f"{avg.numerator}/{avg.denominator}",
         "tau_max": max_delay(ledger),
-        "avg_concurrency": average_concurrency(ledger),
+        "avg_concurrency": float(average_concurrency_exact(ledger)),
         "max_concurrency": max_concurrency(ledger),
         "tau_avg_per_client": {
-            str(c): v for c, v in average_delay_per_client(ledger).items()
+            str(c): float(v) for c, v in average_delay_per_client_exact(ledger).items()
         },
         "delay_conservation": {"lhs": check.lhs, "rhs": check.rhs, "pass": check.passed},
         "in_flight_convention": "exclude-next-applied",

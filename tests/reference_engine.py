@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from asgdsim.engine import RunTrace, StopRule, _start_point
+from asgdsim.engine import RunTrace, StopRule, StopTracker, _start_point
 from asgdsim.errors import InvalidConfigError, SimulationDeadlockError
 from asgdsim.metrics import DelayLedger
 from asgdsim.objectives import NoiseModel
@@ -101,7 +101,7 @@ def _run(
     col_assigned: list[int] = []
     # concurrency_log[t] is |C_t|, the trace's concurrency column before event t
     concurrency_log: list[int] = []
-    tracker = stop.tracker(grad_norm)
+    tracker = StopTracker(stop, grad_norm)
 
     def quiescent(tol: float) -> bool:
         return all(math.sqrt(float(np.dot(entry[-1], entry[-1]))) <= tol for entry in heap)

@@ -156,6 +156,10 @@ BAD_EXAMPLES = {
     # a repeated point would overwrite its first copy in the tuning report
     "repeated_tuning_value": (lambda d: d["tuning"].update(values=[0.1, 0.3, 0.1]),
                               "config.tuning.values[2]"),
+    # each value is a lockstep column, and a list is bounded as a log grid is
+    "tuning_values_past_the_bound": (
+        lambda d: d["tuning"].update(values=[float(v) for v in range(1, cli.MAX_GRID_POINTS + 2)]),
+        "config.tuning.values"),
     # 10^14 doubles (727 TiB) exceed a 64-bit address space: numpy refuses before allocating
     "objective_too_large_to_allocate": (lambda d: d["objective"].update(dim=10**7),
                                         "config.objective"),

@@ -614,6 +614,6 @@ class TestHeterogeneousRuns:
         trace = run_heterogeneous(fam, NO_NOISE, constant_fleet([1.0, 2.0, 5.0]), 4,
                                   ConstantStepsize(0.02), X0,
                                   StopRule(max_iterations=60), master_seed=8)
-        per_client = metrics.average_delay_per_client(trace.ledger)
+        per_client = metrics.average_delay_per_client_exact(trace.ledger)
         assert set(per_client) <= {0, 1, 2}
         assert metrics.delay_conservation(trace.ledger).passed

@@ -99,14 +99,14 @@ class TestHandComputedStatistics:
         assert not check.passed and check.rhs == 11
 
     def test_per_client_averages(self):
-        ledger = hand_ledger()
-        assert metrics.average_delay_per_client_exact(ledger, 0) == Fraction(2, 3)
-        assert metrics.average_delay_per_client_exact(ledger, 1) == Fraction(3, 2)
-        assert metrics.average_delay_per_client(ledger) == {0: 2 / 3, 1: 1.5}
+        assert metrics.average_delay_per_client_exact(hand_ledger()) == {
+            0: Fraction(2, 3), 1: Fraction(3, 2)}
 
-    def test_unknown_client_is_an_error(self):
-        with pytest.raises(UndefinedStatisticError):
-            metrics.average_delay_per_client_exact(hand_ledger(), 5)
+    def test_never_sampled_client_is_absent(self):
+        # client 1's jobs go to client 2, so client 1 is never handed work
+        ledger = hand_ledger(applied_clients=[0, 2, 0], active_clients=[2, 0])
+        assert metrics.average_delay_per_client_exact(ledger) == {
+            0: Fraction(2, 3), 2: Fraction(3, 2)}
 
 
 def brute_force_per_client(ledger, client):
@@ -144,22 +144,17 @@ class TestPerClientOnePass:
     def test_matches_the_brute_force_definition(self, ledger):
         sampled = sorted(set(ledger.applied_clients) | set(ledger.active_clients))
         assert list(ledger.samples_per_client) == sampled
-        for client in sampled:
-            assert metrics.average_delay_per_client_exact(ledger, client) == \
-                brute_force_per_client(ledger, client)
-        assert metrics.average_delay_per_client(ledger) == {
-            c: float(brute_force_per_client(ledger, c)) for c in sampled}
-        never = max(sampled, default=0) + 1  # in neither job list
-        with pytest.raises(UndefinedStatisticError):
-            metrics.average_delay_per_client_exact(ledger, never)
+        per_client = metrics.average_delay_per_client_exact(ledger)
+        assert list(per_client) == sampled  # clients in neither job list are absent
+        assert per_client == {c: brute_force_per_client(ledger, c) for c in sampled}
 
     def test_excluded_next_job_still_counts_for_its_client(self):
         # both in-flight jobs are client 1's, the excluded next one (started
         # at 1) among them; it enters the per-client mean although the
         # reported average leaves it out
         ledger = hand_ledger(active_clients=[1, 1])
-        assert metrics.average_delay_per_client_exact(ledger, 1) == Fraction(1 + 2 + 0, 3)
-        assert metrics.average_delay_per_client_exact(ledger, 0) == Fraction(2, 2)
+        assert metrics.average_delay_per_client_exact(ledger) == {
+            0: Fraction(2, 2), 1: Fraction(1 + 2 + 0, 3)}
 
 
 class TestDegenerateLedgers:
@@ -203,29 +198,21 @@ class TestEngineLedgers:
 
     def test_per_client_statistics_cover_sampled_clients(self):
         trace = run(constant_fleet([1.0, 3.0, 5.0]), MaxConcurrency(), 40)
-        per_client = metrics.average_delay_per_client(trace.ledger)
+        per_client = metrics.average_delay_per_client_exact(trace.ledger)
         assert set(per_client) == {0, 1, 2}
         # the slowest worker sees the largest average delay
         assert per_client[2] >= per_client[1] >= per_client[0]
 
 
 class TestTraceErrors:
-    def fake_trace(self, norms, final, n_assigned=None, stepsizes=None):
-        return SimpleNamespace(
-            grad_norms=np.asarray(norms, dtype=float),
-            final_grad_norm=float(final),
-            n_assigned=np.asarray(n_assigned if n_assigned is not None
-                                  else np.ones(len(norms)), dtype=float),
-            stepsizes=np.asarray(stepsizes if stepsizes is not None
-                                 else np.ones(len(norms)), dtype=float),
-        )
-
-    def test_grad_norm_sequence_appends_final_point(self):
-        trace = self.fake_trace([1.0, 2.0, 3.0], 4.0)
-        assert metrics.grad_norm_sequence(trace).tolist() == [1.0, 2.0, 3.0, 4.0]
+    def fake_trace(self, norms, final):
+        return SimpleNamespace(grad_norms=np.asarray(norms, dtype=float),
+                               final_grad_norm=float(final))
 
     def test_last_k_takes_the_tail(self):
+        # the final point's norm 4.0 closes the sequence
         trace = self.fake_trace([1.0, 2.0, 3.0], 4.0)
+        assert metrics.last_k_error(trace, k=1) == 4.0
         assert metrics.last_k_error(trace, k=2) == pytest.approx(3.5)
         assert metrics.last_k_error(trace, k=4) == pytest.approx(2.5)
 
@@ -239,23 +226,6 @@ class TestTraceErrors:
         with pytest.raises(UndefinedStatisticError):
             metrics.last_k_error(self.fake_trace([1.0], 1.0), k=0)
 
-    def test_weighted_averages(self):
-        trace = self.fake_trace([1.0, 2.0], 0.0,
-                                n_assigned=[1, 3], stepsizes=[0.5, 0.0])
-        assert metrics.weighted_grad_norm_average(trace) == pytest.approx(2.5)
-        assert metrics.weighted_grad_norm_average(
-            trace, weights="assigned_count") == pytest.approx(13 / 4)
-        # zero stepsize rows (dropped gradients) fall out of the average
-        assert metrics.weighted_grad_norm_average(
-            trace, weights="stepsize") == pytest.approx(1.0)
-
-    def test_weighting_must_be_known_and_nonzero(self):
-        trace = self.fake_trace([1.0], 0.0, stepsizes=[0.0])
-        with pytest.raises(UndefinedStatisticError):
-            metrics.weighted_grad_norm_average(trace, weights="harmonic")
-        with pytest.raises(UndefinedStatisticError):
-            metrics.weighted_grad_norm_average(trace, weights="stepsize")
-
 
 class TestSummary:
     def test_schema_and_internal_consistency(self):
@@ -264,12 +234,14 @@ class TestSummary:
         assert s["iterations"] == 25
         assert s["stop_reason"] == "cap"
         assert s["delay_conservation"]["pass"] is True
-        assert s["tau_avg"] == pytest.approx(
-            metrics.average_delay(trace.ledger))
+        assert s["tau_avg"] == float(metrics.average_delay_exact(trace.ledger))
         num, den = s["tau_avg_exact"].split("/")
         assert Fraction(int(num), int(den)) == metrics.average_delay_exact(trace.ledger)
         assert s["tau_max"] == metrics.max_delay(trace.ledger)
-        assert all(isinstance(k, str) for k in s["tau_avg_per_client"])
+        assert s["avg_concurrency"] == float(metrics.average_concurrency_exact(trace.ledger))
+        assert s["tau_avg_per_client"] == {
+            str(c): float(v)
+            for c, v in metrics.average_delay_per_client_exact(trace.ledger).items()}
         assert s["in_flight_convention"] == "exclude-next-applied"
         assert s["gradients_started"] == (
             trace.ledger.concurrency_log[0] + int(np.sum(trace.n_assigned)))

@@ -1,13 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asgdsim import InvalidSpecError
+from asgdsim import InvalidSpecError, speedup
 from asgdsim.engine import (
     MaxConcurrency,
     SampledMiniBatch,
@@ -161,6 +162,16 @@ class TestOracle:
             with pytest.raises(InvalidSpecError, match="rank draws"):
                 minibatch_time_oracle(SpeedupInput(deltas, 10**9), method="exhaustive")
 
+    def test_monte_carlo_past_the_budget_draws_nothing(self, monkeypatch):
+        # 10^5 samples of 2 x 10^4 ranks are twice the budget of rank draws
+        def no_draws(*args):
+            raise AssertionError("drew ranks past the budget")
+
+        monkeypatch.setattr(speedup, "_batch_maxima", no_draws)
+        inp = SpeedupInput((1.0, 2.0), concurrency=2 * 10**4)
+        with pytest.raises(InvalidSpecError, match="rank draws"):
+            minibatch_time_oracle(inp, method="monte_carlo", samples=10**5)
+
     def test_single_sample_stderr_is_infinite(self):
         inp = SpeedupInput((1.0, 2.0), concurrency=2)
         oracle = minibatch_time_oracle(inp, method="monte_carlo", samples=1)
@@ -271,3 +282,16 @@ class TestClosedFormsAgainstTheSchedule:
         mean, stderr = time_per_round(deltas, MaxConcurrency(), rounds=2000, concurrency=10)
         expected = len(deltas) / sum(1 / d for d in deltas)
         assert stderr > 0 and abs(mean - expected) <= 4 * stderr, (mean, stderr, expected)
+
+    def test_sampled_minibatch_runs_repeated_draws_in_turn(self):
+        # Where the models part: a client drawn k times runs its k jobs one after the
+        # other, so on a constant fleet a batch takes (largest draw count) x delta.  The
+        # closed form runs the draws in parallel and gives delta, its n >> C limit.
+        counts = [max(draw.count(0), draw.count(1))
+                  for draw in itertools.product(range(2), repeat=10)]
+        expected = Fraction(sum(counts), len(counts))
+        assert expected == Fraction(6380, 1024)
+        assert minibatch_time(SpeedupInput((1.0, 1.0), concurrency=10)) == 1.0
+        mean, stderr = time_per_round((1.0, 1.0), SampledMiniBatch(10), rounds=2000,
+                                      concurrency=10)
+        assert stderr > 0 and abs(mean - float(expected)) <= 4 * stderr, (mean, stderr)

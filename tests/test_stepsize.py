@@ -180,6 +180,12 @@ class TestLogGrid:
     def test_grid_at_the_bound(self):
         assert len(default_log_grid(MAX_GRID_POINTS - 1, 1.0, 10.0)) == MAX_GRID_POINTS
 
+    def test_density_at_the_bound(self):
+        # a narrow span keeps the grid to one point, so only the density bound applies
+        assert default_log_grid(MAX_GRID_POINTS, 1.0, 1.0001) == [1.0]
+        with pytest.raises(InvalidSpecError, match="points_per_decade"):
+            default_log_grid(MAX_GRID_POINTS + 1, 1.0, 1.0001)
+
 
 def synthetic_outcomes(t_of_eta, grid, cap=10_000):
     """The outcome of every point of ``grid``, from ``t_of_eta(eta)``: the iterations to
