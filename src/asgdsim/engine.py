@@ -42,9 +42,17 @@ iterate cannot touch and writes the ``DelayLedger``.  Phase 2, ``_lockstep``,
 consumes it with one column per stepsize: a single run is one column,
 ``run_grid`` runs a tuning grid as one column per point, and ``race_grid``
 ends that run at the first column to reach the target.  It keeps the
-in-flight jobs by job id, draws noise at hand-out and takes each column's
-stop verdicts from its own ``StopTracker``.  The conservation fuzz in
-``verify`` runs phase 1 alone: the code that writes every run's ledger.
+in-flight jobs by job id, adds a noise draw at hand-out and takes each
+column's stop verdicts from its own ``StopTracker``.  The conservation fuzz
+in ``verify`` runs phase 1 alone: the code that writes every run's ledger.
+
+Noise and client picks are drawn in blocks that equal the per-event draws
+bit for bit.  Each worker takes its noise rows from a block of its own
+stream, and the blocks of a fleet stay within ``_NOISE_BLOCK_BYTES``.  A
+policy that declares ``buffer_picks`` reads the "client-sampling" stream
+through a per-run buffer of ``integers(0, n)`` draws.  ``CustomSelection``
+gets the stream itself, and the "delay-model" stream, which workers with
+different time models share, is drawn one job at a time.
 """
 
 from __future__ import annotations
@@ -74,6 +82,9 @@ from .stepsize import TuneOutcome
 Array = np.ndarray
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_NOISE_BLOCK_BYTES = 1 << 20  # the noise rows drawn ahead by the whole fleet
+_NOISE_BLOCK_ROWS = 32        # and by one worker, at most
+_CLIENT_PICKS = 4096          # the largest buffer of client picks drawn ahead
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +185,7 @@ class SampledMiniBatch:
     """Minibatch whose members are drawn uniformly with replacement per batch."""
 
     batch_size: int
+    buffer_picks = True  # its only draws are integers(0, n): see _ClientPicks
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -191,6 +203,7 @@ class UniformClientSampling:
     """Constant-concurrency sampling: one uniform client draw per applied gradient."""
 
     concurrency: int
+    buffer_picks = True  # its only draws are integers(0, n): see _ClientPicks
 
     def __post_init__(self):
         if self.concurrency < 1:
@@ -441,6 +454,33 @@ def _start_point(objective, workers: Sequence, x0: Array):
     return x, shifts
 
 
+class _ClientPicks:
+    """The "client-sampling" stream of one run, as a policy that declares
+    ``buffer_picks`` reads it: ``integers(0, n)``, one pick or ``size``.
+
+    The picks come from a buffer that one call refills with twice as many
+    draws as the last (``_CLIENT_PICKS`` at most), so a short run draws little
+    ahead.  The stream gives the same picks in the same order either way.
+    """
+
+    __slots__ = ("rng", "n", "picks", "size")
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng, self.n, self.picks, self.size = rng, n, deque(), 8
+
+    def integers(self, low: int, high: int, size: Optional[int] = None):
+        if (low, high) != (0, self.n):
+            raise ValueError(f"buffered picks are integers(0, {self.n}), not ({low}, {high})")
+        picks, want = self.picks, 1 if size is None else size
+        if len(picks) < want:
+            self.size = min(2 * self.size, _CLIENT_PICKS)
+            draws = self.rng.integers(0, self.n, size=max(self.size, want - len(picks)))
+            picks.extend(draws.tolist())
+        if size is None:
+            return picks.popleft()
+        return np.array([picks.popleft() for _ in range(size)], dtype=np.int64)
+
+
 class Schedule:
     """Phase 1 of a run: the in-flight heap, the "delay-model" and
     "client-sampling" streams, the policy and the schedule columns.
@@ -466,6 +506,8 @@ class Schedule:
         sample_time = [model.sample for model in self.workers]
         delay_rng = named_stream(self.master_seed, "delay-model")
         client_rng = named_stream(self.master_seed, "client-sampling")
+        if getattr(self.policy, "buffer_picks", False):  # per run: a policy may be shared
+            client_rng = _ClientPicks(client_rng, len(sample_time))
         after = self.policy.after
         free_at, busy = [0.0] * len(sample_time), [0] * len(sample_time)
         next_id = t = 0
@@ -513,10 +555,17 @@ def _in_flight(noise: NoiseModel, n: int, dim: int, shifts, master_seed: int):
     """The in-flight job vectors of a run by job id, and ``hand_out(handed, grad)``,
     which files a job for each worker in ``handed`` under the next id: ``grad``
     (one vector, or one row per column of a lockstep run) plus client ``w``'s
-    shift and one draw from worker ``w``'s noise stream."""
+    shift and the next draw of worker ``w``'s noise stream.
+
+    Worker ``w`` takes its draws in order from a block of ``rows`` draws of its
+    stream, which equal as many single draws.  The fleet's blocks stay within
+    ``_NOISE_BLOCK_BYTES`` when ``rows`` > 1, and a block is released with its
+    last row, so at ``rows`` 1 no block is kept."""
     # a noiseless run draws no noise, so it opens no noise streams
     noise_rngs = [named_stream(master_seed, f"noise-worker-{i}")
                   for i in range(n if noise.sigma > 0.0 else 0)]
+    rows = min(max(_NOISE_BLOCK_BYTES // (8 * dim * n), 1), _NOISE_BLOCK_ROWS)
+    blocks, used = [None] * len(noise_rngs), [0] * len(noise_rngs)  # per worker
     jobs: dict[int, Array] = {}
     ids = itertools.count()
 
@@ -524,7 +573,12 @@ def _in_flight(noise: NoiseModel, n: int, dim: int, shifts, master_seed: int):
         for w in handed:
             job = grad if shifts is None else grad + shifts[w]
             if noise_rngs:
-                job = job + noise.sample(dim, noise_rngs[w])
+                if blocks[w] is None:
+                    blocks[w], used[w] = noise.sample((rows, dim), noise_rngs[w]), 0
+                job = job + blocks[w][used[w]]
+                used[w] += 1
+                if used[w] == rows:
+                    blocks[w] = None
             jobs[next(ids)] = job
 
     return jobs, hand_out

@@ -10,6 +10,7 @@ those progressions.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from reference_engine import _run as reference_run
 
 from asgdsim import (
     ConstantStepsize,
+    CustomSelection,
     DelayAdaptiveStepsize,
     MaxConcurrency,
     NoiseModel,
+    SampledMiniBatch,
     StopRule,
     UniformClientSampling,
     constant_fleet,
@@ -29,9 +32,11 @@ from asgdsim import (
     run_heterogeneous,
     run_homogeneous,
 )
-from asgdsim.engine import Schedule
+from asgdsim import engine
+from asgdsim.engine import Schedule, _ClientPicks, _in_flight
 from asgdsim.metrics import delay_conservation
 from asgdsim.objectives import HeterogeneousFamily
+from asgdsim.rng import named_stream
 from asgdsim.verify import random_config, random_run
 
 ARRAYS = ("worker_ids", "delays", "stepsizes", "grad_norms",
@@ -199,3 +204,108 @@ def test_the_schedule_stops_where_its_consumer_stops():
     schedule, ledger = drive(constant_fleet([1.0, 2.0]), MaxConcurrency(), 7)
     assert ledger.total_iterations == 7 == len(schedule.finish_times)
     assert len(ledger.concurrency_log) == 8
+
+
+# ---------------------------------------------------------------------------
+# draws in blocks: noise rows per worker and client picks per run
+
+
+@pytest.mark.parametrize("rows", [1, 2, 32])
+def test_a_noise_block_equals_its_rows_drawn_one_at_a_time(rows):
+    noise, dim = NoiseModel(0.3), 7
+    single, block = named_stream(5, "noise-worker-3"), named_stream(5, "noise-worker-3")
+    one_at_a_time = np.stack([noise.sample(dim, single) for _ in range(rows)])
+    assert noise.sample((rows, dim), block).tobytes() == one_at_a_time.tobytes()
+    # the stream goes on from the same state, so the next block lines up too
+    assert block.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
+@pytest.mark.parametrize("start", [1, 100])
+def test_a_buffer_of_client_picks_equals_the_picks_drawn_one_at_a_time(n, start):
+    single, buffer = (named_stream(9, "client-sampling") for _ in range(2))
+    one_at_a_time = single.integers(0, n, size=start).tolist()
+    one_at_a_time += [int(single.integers(0, n)) for _ in range(5000)]
+    assert buffer.integers(0, n, size=start + 5000).tolist() == one_at_a_time
+    assert buffer.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize("most", [3, engine._CLIENT_PICKS])
+def test_buffered_picks_follow_the_stream(most, monkeypatch):
+    # a policy's mix of single picks and batches, across many buffer refills
+    monkeypatch.setattr(engine, "_CLIENT_PICKS", most)
+    rng = named_stream(2, "client-sampling")
+    picks = _ClientPicks(named_stream(2, "client-sampling"), 6)
+    for size in [None, 4, None, None, 1, 13, None] * 300:
+        if size is None:
+            assert picks.integers(0, 6) == int(rng.integers(0, 6))
+        else:
+            assert picks.integers(0, 6, size=size).tolist() == \
+                rng.integers(0, 6, size=size).tolist()
+    with pytest.raises(ValueError):
+        picks.integers(0, 7)
+
+
+def test_block_edges_keep_the_reference_engine_bits(monkeypatch):
+    # a buffer of 3 picks and noise blocks of 2 rows: every run crosses many edges
+    dim, n = 3, 4
+    monkeypatch.setattr(engine, "_CLIENT_PICKS", 3)
+    monkeypatch.setattr(engine, "_NOISE_BLOCK_BYTES", 2 * 8 * dim * n)
+    blocks = []
+    sample = NoiseModel.sample
+
+    def spy(self, size, rng):
+        blocks.append(size)
+        return sample(self, size, rng)
+
+    family = make_heterogeneous(make_quadratic(dim, 0.5, 2.0, seed=3), n, 0.5, seed=4)
+    fleet = [engine.LogNormalTime(0.0, 0.5)] * n
+    x0 = np.ones(dim)
+    cases = [(family, NoiseModel(0.2), fleet, UniformClientSampling(3)),
+             (make_quadratic(dim, 0.5, 2.0, seed=5), NoiseModel(0.2), fleet, SampledMiniBatch(5))]
+    for objective, noise, workers, policy in cases:
+        args = (objective, noise, workers, policy, ConstantStepsize(0.05), x0,
+                StopRule(max_iterations=400), 8)
+        monkeypatch.setattr(NoiseModel, "sample", spy)
+        trace = engine._run(*args)
+        monkeypatch.setattr(NoiseModel, "sample", sample)
+        assert_bitwise_equal(trace, reference_run(*args))
+    assert set(blocks) == {(2, dim)} and len(blocks) > 300
+
+
+def test_custom_selection_draws_from_the_raw_client_stream():
+    picks = []
+
+    def select(step, busy, rng):
+        picks.append(int(rng.integers(0, 1000)))
+        return [w for w, jobs in enumerate(busy) if not jobs]
+
+    run_homogeneous(make_quadratic(2, 1.0, 2.0, seed=1), NoiseModel(0.1),
+                    constant_fleet([1.0, 1.5, 2.5]), CustomSelection(select),
+                    ConstantStepsize(0.01), np.zeros(2), StopRule(max_iterations=200),
+                    master_seed=4)
+    fresh = named_stream(4, "client-sampling")
+    assert len(picks) == 200
+    assert picks == [int(fresh.integers(0, 1000)) for _ in picks]
+
+
+@pytest.mark.parametrize("n, dim, rows", [
+    (1, 2, 32), (4, 3, 32), (1000, 10, 13), (64, 256, 8), (3, 20_000, 2),
+    (100, 1000, 1), (1000, 1000, 1),
+])
+def test_noise_blocks_stay_within_the_budget(n, dim, rows):
+    # hand every worker one job, apply them all, and count the array bytes still held
+    grad = np.zeros(dim)
+    jobs, hand_out = _in_flight(NoiseModel(0.1), n, dim, None, master_seed=0)
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(arrays)
+        hand_out(range(n), grad)
+        jobs.clear()
+        after = tracemalloc.take_snapshot().filter_traces(arrays)
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert held == (n * rows * dim * 8 if rows > 1 else 0)
+    assert held <= engine._NOISE_BLOCK_BYTES
