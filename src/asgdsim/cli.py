@@ -567,7 +567,7 @@ def cmd_compare(args) -> int:
         info["eta"] = stepsize.eta
         table[name] = info
         print(f"compare[{name}]: eta {stepsize.eta:g}, iterations {len(trace)}, "
-              f"sim time {trace.total_sim_time:g}, converged {trace.converged}")
+              f"sim time {trace.sim_times[-1]:g}, converged {trace.converged}")
         if not trace.converged:
             exit_code = 2
         for t in range(len(trace)):

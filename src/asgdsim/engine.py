@@ -370,34 +370,29 @@ class StopTracker:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run plus its delay ledger.
+    """The iterate side of a run beside its delay ledger.
 
-    Row t holds the state just before server update t: the gradient norm and
-    objective value at x^t, the applied job's worker/delay/stepsize, the
-    simulated clock at application, the number of jobs handed out at that
-    step and |C_t|.  Worker i computes client i's gradient, so the CSV's
-    ``client_id`` column repeats ``worker_ids``.
+    Row t holds the state just before server update t: the stepsize of the
+    applied job, the gradient norm and objective value at x^t and the
+    simulated clock at application.  The applied job's worker and delay, and
+    |C_t|, are in ``ledger``, the one record of the schedule, which
+    ``to_csv`` and ``metrics.summary`` both read.
     """
 
-    worker_ids: Array
-    delays: Array
     stepsizes: Array
     grad_norms: Array
     objective_values: Array
     sim_times: Array
-    n_assigned: Array
-    concurrency: Array
     final_x: Array
     final_value: float
     final_grad_norm: float
-    total_sim_time: float
     stop_reason: str
     converged: bool
     diverged: bool
     ledger: DelayLedger
 
     def __len__(self) -> int:
-        return self.worker_ids.shape[0]
+        return self.ledger.total_iterations
 
     CSV_COLUMNS = (
         "t", "worker_id", "client_id", "delay", "stepsize", "grad_norm",
@@ -407,9 +402,13 @@ class RunTrace:
     CSV_CHUNK_ROWS = 1024  # rows converted to Python objects at a time
 
     def to_csv(self, path) -> None:
-        columns = (self.worker_ids, self.worker_ids, self.delays, self.stepsizes,
-                   self.grad_norms, self.objective_values, self.sim_times,
-                   self.n_assigned, self.concurrency)
+        # worker i computes client i's gradient, so the worker id fills both id
+        # columns; one job is applied per step, so n_t = |C_t| - |C_{t-1}| + 1
+        ledger = self.ledger
+        log = np.array(ledger.concurrency_log, dtype=np.int64)
+        ids = (ledger.applied_clients, ledger.applied_clients, ledger.applied_delays)
+        columns = (self.stepsizes, self.grad_norms, self.objective_values, self.sim_times,
+                   np.diff(log) + 1, log[:-1])
         with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(self.CSV_COLUMNS)
@@ -417,6 +416,7 @@ class RunTrace:
                 rows = slice(lo, lo + self.CSV_CHUNK_ROWS)
                 # csv writes a Python float as its repr and an int as str
                 writer.writerows(zip(range(lo, lo + self.CSV_CHUNK_ROWS),
+                                     *(col[rows] for col in ids),
                                      *(col[rows].tolist() for col in columns)))
 
 
@@ -704,18 +704,13 @@ def _run(objective, noise: NoiseModel, workers: Sequence, policy, stepsize,
     [(_, _, verdict, norms, x)] = _lockstep(objective, noise, schedule, [stepsize], x0, stop,
                                             record=(etas, values))
     return RunTrace(
-        worker_ids=np.array(schedule.worker_ids, dtype=int),
-        delays=np.array(schedule.delays, dtype=int),
         stepsizes=np.array(etas, dtype=float),
         grad_norms=np.array(norms, dtype=float)[:-1],
         objective_values=np.array(values, dtype=float)[:-1],
         sim_times=np.array(schedule.finish_times, dtype=float),
-        n_assigned=np.diff(schedule.concurrency_log) + 1,
-        concurrency=np.array(schedule.concurrency_log[:-1], dtype=int),
         final_x=x,
         final_value=values[-1],
         final_grad_norm=norms[-1],
-        total_sim_time=schedule.finish_times[-1],
         stop_reason=verdict,
         converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
         diverged=verdict == "diverged",

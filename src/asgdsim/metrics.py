@@ -184,6 +184,6 @@ def summary(trace) -> dict:
         },
         "delay_conservation": {"lhs": check.lhs, "rhs": check.rhs, "pass": check.passed},
         "in_flight_convention": "exclude-next-applied",
-        "total_sim_time": _finite_or_none(trace.total_sim_time),
+        "total_sim_time": _finite_or_none(trace.sim_times[-1]),
         "gradients_started": ledger.total_iterations + len(ledger.active_clients),
     }

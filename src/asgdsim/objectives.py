@@ -86,14 +86,12 @@ class QuadraticObjective:
 class LogisticObjective:
     """Mean logistic loss (1/m) sum_j log(1 + exp(-b_j a_j . x)).
 
-    ``smoothness`` is the certified bound (1/(4m)) sum_j ||a_j||^2 and
-    ``grad_bound`` is (1/m) sum_j ||a_j||, a uniform bound on ||grad f||.
+    ``smoothness`` is the certified bound (1/(4m)) sum_j ||a_j||^2.
     """
 
     features: Array
     labels: Array
     smoothness: float = field(init=False)
-    grad_bound: float = field(init=False)
 
     def __post_init__(self):
         self.features = np.array(self.features, dtype=float)
@@ -109,7 +107,6 @@ class LogisticObjective:
             raise InvalidSpecError("labels must all be -1 or +1")
         row_sq = np.einsum("ij,ij->i", self.features, self.features)
         self.smoothness = float(row_sq.sum() / (4.0 * m))
-        self.grad_bound = float(np.sqrt(row_sq).sum() / m)
 
     @property
     def dim(self) -> int:

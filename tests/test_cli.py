@@ -12,7 +12,7 @@ import pytest
 from asgdsim import InvalidConfigError, cli
 from asgdsim.cli import ExperimentConfig, main, parse_deltas, run_config
 from asgdsim.objectives import make_quadratic
-from asgdsim.report import write_json
+from asgdsim.report import write_csv, write_json
 
 
 def tiny_config(**overrides):
@@ -471,6 +471,14 @@ class TestStandardJson:
     def test_write_json_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
             write_json(tmp_path / "x.json", {"value": math.nan})
+
+
+class TestCsvCells:
+    def test_numpy_and_python_floats_by_repr_and_bools_as_bits(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["a", "b", "c", "d", "e"],
+                  [(np.float64(1.5), 0.1, True, np.float64(0.1) * 3, False)])
+        assert path.read_text() == "a,b,c,d,e\n1.5,0.1,1,0.30000000000000004,0\n"
 
 
 class TestParseDeltas:

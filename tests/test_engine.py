@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference_engine import _run as reference_run
 
 from asgdsim import (
     ConstantStepsize,
     ConstantTime,
     CustomSelection,
+    DelayLedger,
     InvalidConfigError,
     InvalidSelectionError,
     LogNormalTime,
@@ -123,37 +125,40 @@ class TestTimeModels:
 class TestHandSchedules:
     def test_serial_worker_has_zero_delays(self):
         trace = simple_run(constant_fleet([1.0]), MaxConcurrency(), 5)
-        assert list(trace.delays) == [0, 0, 0, 0, 0]
-        assert list(trace.concurrency) == [1, 1, 1, 1, 1]
-        assert trace.total_sim_time == 5.0
+        assert trace.ledger.applied_delays == [0, 0, 0, 0, 0]
+        assert trace.ledger.concurrency_log == [1, 1, 1, 1, 1, 1]
+        assert trace.sim_times[-1] == 5.0
         assert metrics.average_delay_exact(trace.ledger) == 0
 
     def test_two_equal_workers_alternate(self):
         trace = simple_run(constant_fleet([1.0, 1.0]), MaxConcurrency(), 6)
         # ties at every integer time break toward the lower worker id
-        assert list(trace.worker_ids) == [0, 1, 0, 1, 0, 1]
-        assert list(trace.delays) == [0, 1, 1, 1, 1, 1]
+        assert trace.ledger.applied_clients == [0, 1, 0, 1, 0, 1]
+        assert trace.ledger.applied_delays == [0, 1, 1, 1, 1, 1]
         assert list(trace.sim_times) == [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
 
     def test_straggler_delay_equals_slowdown(self):
         trace = simple_run(constant_fleet([1.0, 4.0]), MaxConcurrency(), 12)
         assert metrics.max_delay(trace.ledger) == 4
         # the slow worker lands every 4 iterations with delay exactly 4
-        slow_rows = [t for t in range(12) if trace.worker_ids[t] == 1]
-        assert all(trace.delays[t] == 4 for t in slow_rows)
+        ledger = trace.ledger
+        slow_rows = [t for t in range(12) if ledger.applied_clients[t] == 1]
+        assert all(ledger.applied_delays[t] == 4 for t in slow_rows)
 
     def test_minibatch_of_two_delays_alternate_zero_one(self):
         trace = simple_run(constant_fleet([1.0, 1.0]), MiniBatch(), 4)
-        assert list(trace.delays) == [0, 1, 0, 1]
+        assert trace.ledger.applied_delays == [0, 1, 0, 1]
         assert metrics.average_delay_exact(trace.ledger) == Fraction(2, 5)
-        # both jobs of a batch are handed out together, after the batch is done
-        assert list(trace.n_assigned) == [0, 2, 0, 2]
+        # both jobs of a batch are handed out together, after the batch is done:
+        # n_t = |C_t| - |C_{t-1}| + 1 is 0, 2, 0, 2
+        assert trace.ledger.concurrency_log == [2, 1, 2, 1, 2]
 
     def test_minibatch_average_delay_approaches_half_batch(self):
         n = 4
         trace = simple_run(constant_fleet([1.0] * n), MiniBatch(), 400)
         # per full batch the delays are 0, 1, ..., n-1
-        assert float(np.mean(trace.delays)) == pytest.approx((n - 1) / 2, abs=1e-12)
+        assert float(np.mean(trace.ledger.applied_delays)) == \
+            pytest.approx((n - 1) / 2, abs=1e-12)
 
 
 class TestConservation:
@@ -195,7 +200,7 @@ class TestCustomSelection:
         # now-idle workers handed fresh jobs at step 1, nobody at step 2
         policy = table_policy(((), (0, 1), ()))
         trace = simple_run(constant_fleet([1.0, 2.0, 3.0]), policy, 3)
-        assert list(trace.n_assigned) == [0, 2, 0]
+        assert trace.ledger.concurrency_log == [3, 2, 3, 2]  # n_t = 0, 2, 0
 
     def test_duplicate_selection_rejected(self):
         policy = table_policy(((0, 0),))
@@ -239,12 +244,11 @@ class TestClientSampling:
             QUAD, NO_NOISE, constant_fleet([10.0]), policy, ConstantStepsize(0.01),
             X0, StopRule(max_iterations=5), master_seed=2)
         assert list(trace.sim_times) == [10.0, 20.0, 30.0, 40.0, 50.0]
-        assert list(trace.worker_ids) == [0, 0, 0, 0, 0]
+        assert trace.ledger.applied_clients == [0, 0, 0, 0, 0]
 
     def test_concurrency_is_preserved(self):
         policy = UniformClientSampling(concurrency=4)
         trace = simple_run(constant_fleet([1.0, 2.0, 3.0]), policy, 30, seed=9)
-        assert list(trace.concurrency) == [4] * 30
         assert trace.ledger.concurrency_log == [4] * 31
 
     def test_sampling_counts_every_assignment(self):
@@ -508,50 +512,67 @@ class TestDeterminism:
         assert len(names) == streams
 
 
-def reference_csv(trace, path):
-    """Row-at-a-time writer: the definition of the trace CSV format.  Worker i
-    computes client i's gradient, so the worker id fills both id columns."""
+def reference_csv(trace, ref, path):
+    """Row-at-a-time writer: the definition of the trace CSV format.  The
+    schedule columns come from the reference loop's run ``ref``: worker i
+    computes client i's gradient, so the worker id fills both id columns, and
+    the loop counted the jobs it handed out at each step."""
+    ledger = ref.ledger
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(trace.CSV_COLUMNS)
         for t in range(len(trace)):
             writer.writerow((
-                t, int(trace.worker_ids[t]), int(trace.worker_ids[t]), int(trace.delays[t]),
+                t, ledger.applied_clients[t], ledger.applied_clients[t],
+                ledger.applied_delays[t],
                 repr(float(trace.stepsizes[t])), repr(float(trace.grad_norms[t])),
                 repr(float(trace.objective_values[t])), repr(float(trace.sim_times[t])),
-                int(trace.n_assigned[t]), int(trace.concurrency[t]),
+                int(ref.n_assigned[t]), ledger.concurrency_log[t],
             ))
 
 
-def noisy_client_run(max_iterations):
+def noisy_client_runs(max_iterations):
+    """A noisy heterogeneous run through the engine and through the reference loop."""
     fam = make_heterogeneous(QUAD, 5, 1.0, seed=4)
     fleet = [LogNormalTime(0.0, 0.7)] * 5
-    return run_heterogeneous(fam, NoiseModel(0.3), fleet, 3, ConstantStepsize(0.05), X0,
-                             StopRule(max_iterations=max_iterations), master_seed=9)
+    args = (NoiseModel(0.3), fleet)
+    rest = (ConstantStepsize(0.05), X0, StopRule(max_iterations=max_iterations))
+    return (run_heterogeneous(fam, *args, 3, *rest, master_seed=9),
+            reference_run(fam, *args, UniformClientSampling(3), *rest, 9))
 
 
 class TestCsvMatchesReference:
-    def assert_same_bytes(self, trace, tmp_path):
+    def assert_same_bytes(self, trace, ref, tmp_path):
         trace.to_csv(tmp_path / "fast.csv")
-        reference_csv(trace, tmp_path / "reference.csv")
+        reference_csv(trace, ref, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 50, RunTrace.CSV_CHUNK_ROWS])
     def test_every_chunk_size(self, chunk, tmp_path, monkeypatch):
         monkeypatch.setattr(RunTrace, "CSV_CHUNK_ROWS", chunk)
-        self.assert_same_bytes(noisy_client_run(50), tmp_path)
+        self.assert_same_bytes(*noisy_client_runs(50), tmp_path)
 
     def test_longer_than_one_chunk(self, tmp_path):
-        trace = noisy_client_run(RunTrace.CSV_CHUNK_ROWS + 9)
-        self.assert_same_bytes(trace, tmp_path)
+        self.assert_same_bytes(*noisy_client_runs(RunTrace.CSV_CHUNK_ROWS + 9), tmp_path)
+
+    def test_varying_hand_outs_and_concurrency(self, tmp_path):
+        # batches of 7 over 5 workers: n_t and |C_t| change from step to step
+        args = (QUAD, NoiseModel(0.3), [LogNormalTime(0.0, 0.7)] * 5,
+                SampledMiniBatch(batch_size=7), ConstantStepsize(0.05), X0,
+                StopRule(max_iterations=60))
+        trace, ref = run_homogeneous(*args, master_seed=9), reference_run(*args, 9)
+        assert len(set(ref.n_assigned.tolist())) > 1
+        assert len(set(ref.ledger.concurrency_log)) > 1
+        self.assert_same_bytes(trace, ref, tmp_path)
 
     def test_empty_and_special_floats(self, tmp_path):
-        trace = noisy_client_run(6)
+        trace, ref = noisy_client_runs(6)
         special = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0, 1e300])
-        self.assert_same_bytes(dataclasses.replace(trace, grad_norms=special), tmp_path)
+        self.assert_same_bytes(dataclasses.replace(trace, grad_norms=special), ref, tmp_path)
         empty = {f.name: getattr(trace, f.name)[:0] for f in dataclasses.fields(trace)
                  if isinstance(getattr(trace, f.name), np.ndarray) and f.name != "final_x"}
-        self.assert_same_bytes(dataclasses.replace(trace, **empty), tmp_path)
+        empty["ledger"] = DelayLedger([], [], [], [], trace.ledger.concurrency_log[:1])
+        self.assert_same_bytes(dataclasses.replace(trace, **empty), ref, tmp_path)
 
 
 class TestTraceAndState:

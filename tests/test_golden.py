@@ -221,14 +221,27 @@ def _engine_cases():
 
 
 def trace_digest(trace):
-    """SHA-256 over every array, scalar and ledger field of a RunTrace."""
+    """SHA-256 over every array, scalar and ledger field of a RunTrace, with the
+    trace CSV's worker, delay, hand-out and concurrency columns read from its
+    ledger under the labels and dtypes they had as trace fields."""
     digest = hashlib.sha256()
-    for name in ("worker_ids", "delays", "stepsizes", "grad_norms",
-                 "objective_values", "sim_times", "n_assigned", "concurrency", "final_x"):
-        column = np.ascontiguousarray(getattr(trace, name))
+    ledger = trace.ledger
+    columns = {
+        "worker_ids": np.array(ledger.applied_clients, dtype=int),
+        "delays": np.array(ledger.applied_delays, dtype=int),
+        "stepsizes": trace.stepsizes,
+        "grad_norms": trace.grad_norms,
+        "objective_values": trace.objective_values,
+        "sim_times": trace.sim_times,
+        "n_assigned": np.diff(ledger.concurrency_log) + 1,
+        "concurrency": np.array(ledger.concurrency_log[:-1], dtype=int),
+        "final_x": trace.final_x,
+    }
+    for name, column in columns.items():
+        column = np.ascontiguousarray(column)
         digest.update(f"{name}:{column.dtype}:{column.shape}".encode())
         digest.update(column.tobytes())
-    scalars = (trace.final_value, trace.final_grad_norm, trace.total_sim_time,
+    scalars = (trace.final_value, trace.final_grad_norm, float(trace.sim_times[-1]),
                trace.stop_reason, trace.converged, trace.diverged)
     digest.update(repr(scalars).encode())
     digest.update(json.dumps(dataclasses.asdict(trace.ledger), sort_keys=True).encode())

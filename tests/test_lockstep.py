@@ -379,7 +379,7 @@ def tuned_and_rerun_point(objective, slow_factor, epsilon, grid, max_iterations,
                            ConstantStepsize(result.best_eta), x0, stop, master_seed=seed)
     observed = max_delay(best.ledger)
     return ScalingPoint(float(slow_factor), observed, math.sqrt(observed), result.best_eta,
-                        result.best_on_grid_edge, len(best), best.total_sim_time,
+                        result.best_on_grid_edge, len(best), float(best.sim_times[-1]),
                         last_k_error(best))
 
 

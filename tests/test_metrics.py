@@ -243,8 +243,10 @@ class TestSummary:
             str(c): float(v)
             for c, v in metrics.average_delay_per_client_exact(trace.ledger).items()}
         assert s["in_flight_convention"] == "exclude-next-applied"
-        assert s["gradients_started"] == (
-            trace.ledger.concurrency_log[0] + int(np.sum(trace.n_assigned)))
+        # the jobs seeded before iteration 0 plus n_t = |C_t| - |C_{t-1}| + 1 per step
+        log = trace.ledger.concurrency_log
+        assert s["gradients_started"] == log[0] + int(np.sum(np.diff(log) + 1))
+        assert s["total_sim_time"] == trace.sim_times[-1] == 17.0
         assert s["error_last30"] == pytest.approx(metrics.last_k_error(trace))
 
     def test_summary_is_json_serializable(self):

@@ -39,9 +39,8 @@ from asgdsim.objectives import HeterogeneousFamily
 from asgdsim.rng import named_stream
 from asgdsim.verify import random_config, random_run
 
-ARRAYS = ("worker_ids", "delays", "stepsizes", "grad_norms",
-          "objective_values", "sim_times", "n_assigned", "concurrency", "final_x")
-SCALARS = ("final_value", "final_grad_norm", "total_sim_time")
+ARRAYS = ("stepsizes", "grad_norms", "objective_values", "sim_times", "final_x")
+SCALARS = ("final_value", "final_grad_norm")
 FLAGS = ("stop_reason", "converged", "diverged")
 
 
@@ -58,6 +57,9 @@ def assert_bitwise_equal(trace, ref):
     assert trace.ledger == ref.ledger
     # the ledger derives its counts; the reference loop counted every hand-out
     assert trace.ledger.samples_per_client == ref.samples_per_client
+    # and per step, where the trace CSV derives n_t = |C_t| - |C_{t-1}| + 1 from the log
+    handed = np.diff(trace.ledger.concurrency_log) + 1
+    assert handed.dtype == ref.n_assigned.dtype and handed.tolist() == ref.n_assigned.tolist()
 
 
 def fuzz_runs(config):
@@ -186,8 +188,8 @@ def test_max_concurrency_applies_the_merged_progressions(deltas):
     trace = run_homogeneous(make_quadratic(2, 1.0, 2.0, seed=1), NoiseModel(0.0),
                             constant_fleet(deltas), MaxConcurrency(), ConstantStepsize(0.01),
                             np.zeros(2), StopRule(max_iterations=steps))
-    assert trace.worker_ids.tolist() == workers
-    assert trace.delays.tolist() == want_delays
+    assert trace.ledger.applied_clients == workers
+    assert trace.ledger.applied_delays == want_delays
     assert trace.sim_times.tolist() == want_times
     schedule, ledger = drive(constant_fleet(deltas), MaxConcurrency(), steps)
     assert (ledger.applied_clients, ledger.applied_delays) == (workers, want_delays)
