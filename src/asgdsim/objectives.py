@@ -19,11 +19,20 @@ Each family computes value and gradient in one point kernel,
 ``gradient`` only read it.  The block kernel ``values_and_gradients``
 evaluates a block of iterates at once (lockstep grid tuning): a broadcast
 ``np.matmul`` makes one gemv or ddot per row, so every row gets the bits of
-``value_and_gradient``; a gemm over the block would not.
+``value_and_gradient``; a gemm over the block would not.  A quadratic whose
+matrix spans three or more panels of ``_PANEL_BYTES`` is walked panel by panel
+for both products, so each panel is read from memory once per block step
+instead of once per row, and it stays a gemv per row and panel.  The bits
+hold because each output row of a gemv sums over the whole matrix width in
+an order set by its 4-row kernel group: panel edges at multiples of 16 rows
+keep every row in its group, the remainder joins the last full panel (a
+one-row panel would go to ddot), and panels run only when OpenBLAS runs one
+thread, since a threaded gemv splits its rows between threads at other edges.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,10 +85,16 @@ class QuadraticObjective:
         return 0.5 * float(np.dot(r, r)), np.dot(r, self.matrix_a)
 
     def values_and_gradients(self, xs: Array) -> tuple[Array, Array]:
-        """``value_and_gradient`` of every row of ``xs``, bit for bit (one gemv per row)."""
-        r = np.matmul(self.matrix_a, xs[:, :, None])[:, :, 0]
+        """``value_and_gradient`` of every row of ``xs``, bit for bit (one gemv per row
+        and panel)."""
+        edges = _panel_edges(self.dim)
+        if edges is None:
+            r = np.matmul(self.matrix_a, xs[:, :, None])[:, :, 0]
+            r -= self.vector_b
+            return 0.5 * _row_dots(r, r), np.matmul(self.matrix_a.T, r[:, :, None])[:, :, 0]
+        r = _panel_matmul(self.matrix_a, xs, edges)
         r -= self.vector_b
-        return 0.5 * _row_dots(r, r), np.matmul(self.matrix_a.T, r[:, :, None])[:, :, 0]
+        return 0.5 * _row_dots(r, r), _panel_matmul(self.matrix_a.T, r, edges)
 
 
 @dataclass
@@ -190,6 +205,55 @@ class HeterogeneousFamily:
 
     def client_gradient(self, client: int, x: Array) -> Array:
         return self.base.gradient(x) + self.shifts[client]
+
+
+# The block kernel reads a matrix of three or more panels of this size panel by
+# panel, each panel once from memory and then from L2 for every row of the block.
+# A smaller matrix largely stays in a 2 MiB L2 across the block by itself: there,
+# panels ran up to 14% slower than whole gemvs (dims 362 and 400).
+_PANEL_BYTES = 512 * 1024
+_MIN_PANELS = 3
+# Panel edges sit at multiples of this many rows from 0, so every output row
+# stays in the same 4-row group of OpenBLAS's gemv kernels as in a whole gemv.
+_PANEL_ALIGN = 16
+
+
+def _panel_edges(n: int) -> list[int] | None:
+    """Row edges of the panels of an order-``n`` matrix, the remainder joining the
+    last full panel (a one-row panel would go to ddot), or None for one whole
+    gemv: below ``_MIN_PANELS`` panels, or where OpenBLAS may run more than one
+    thread (a threaded gemv splits its rows between threads at other edges)."""
+    rows = max(_PANEL_ALIGN, _PANEL_BYTES // (8 * n) // _PANEL_ALIGN * _PANEL_ALIGN)
+    if n < _MIN_PANELS * rows:
+        return None
+    query = _openblas_function("get_num_threads")
+    if query is None or query() != 1:
+        return None
+    return [*range(0, n - rows + 1, rows), n]
+
+
+@functools.cache
+def _openblas_function(name: str):
+    """``openblas_<name>`` of the OpenBLAS bundled in ``numpy.libs``, or None."""
+    import ctypes
+    import glob
+    import os
+
+    for lib in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*blas*"))):
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            function = getattr(ctypes.CDLL(lib), symbol, None)
+            if function is not None:
+                return function
+    return None
+
+
+def _panel_matmul(m: Array, xs: Array, edges: list[int]) -> Array:
+    """``m @ x`` for every row x of ``xs``, one gemv per row and row panel of ``m``,
+    all rows of the block on one panel before the next."""
+    out = np.empty((xs.shape[0], m.shape[0], 1))
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(m[lo:hi], xs[:, :, None], out=out[:, lo:hi])
+    return out[:, :, 0]
 
 
 def _row_dots(a: Array, b: Array) -> Array:

@@ -99,6 +99,12 @@ CONFIGS = {
         stop={"max_iterations": 2000, "grad_tol": 1e-6},
         tuning={"values": [0.05, 0.2, 0.5]},
     ),
+    # dim 480 spans three matrix panels of the block kernel (see PANELLED)
+    "tune_dim480": _config(
+        objective={"family": "quadratic", "dim": 480, "lambda_min": 1.0, "lambda_max": 2.0},
+        stop={"max_iterations": 400, "grad_tol": 1e-6},
+        tuning={"values": [0.03, 0.1, 0.3, 1.0]},
+    ),
 }
 
 COMMANDS = {
@@ -106,6 +112,7 @@ COMMANDS = {
     "simulate/straggler_in_flight": ["simulate", "{straggler_in_flight}"],
     "simulate/sampled_minibatch": ["simulate", "{sampled_minibatch}"],
     "tune": ["tune", "{tune}"],
+    "tune/dim480": ["tune", "{tune_dim480}"],
     "compare": ["compare", "{compare}"],
     "scaling": ["scaling", "--preset", "quadratic", "--slow-factors", "1,4,16",
                 "--epsilon", "1e-6", "--max-iterations", "20000",
@@ -152,6 +159,11 @@ GOLDEN = {
         "best_trace.csv": "b5f2d9837eda955941a1913a3c29da408365a4ef50ba398b2993a3b337df28bd",
         "tuning.json": "4e878d524d98d70a20d7ddaab24ba2b932b1895a1c038601241c6bcf06b361b6",
     },
+    "tune/dim480": {
+        "best_metrics.json": "9b1b893d7c42e51858c33e7a3b2f8ffb57c50eb727f3bd9df94f5c5155663c4d",
+        "best_trace.csv": "0c190bde4959e47f143d16473b959c893e15f5d380bf5cdbb3e258cc0e58e885",
+        "tuning.json": "95ed16e5012bec577b5e715c74d7791d1405009a897d36e886b15d5e2d7ad060",
+    },
     "verify": {
         "verify.json": "eace58fd878d32650f6ec3e2c2ed7876ab1c3a93f9886046936fd85ca602bbee",
     },
@@ -171,8 +183,15 @@ def command_digests(name, tmp_path):
             for p in sorted(out.iterdir())}
 
 
+# a gemv at dim 480 has other bits under threaded BLAS, so these commands are pinned
+# at one thread, where the block kernel also walks the matrix in panels
+PANELLED = {"tune/dim480"}
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_outputs_match_pinned_digests(name, tmp_path):
+def test_outputs_match_pinned_digests(name, tmp_path, request):
+    if name in PANELLED:
+        request.getfixturevalue("one_blas_thread")
     assert command_digests(name, tmp_path) == GOLDEN[name]
 
 

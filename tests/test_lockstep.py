@@ -47,7 +47,7 @@ from asgdsim import (
     run_homogeneous,
     select_stepsize,
 )
-from asgdsim import cli, engine, stepsize
+from asgdsim import cli, engine, objectives, stepsize
 from asgdsim.cli import _scaling_point, _scaling_run, scaling_experiment, tune
 from asgdsim.engine import _window_mean, race_grid, run_grid
 from asgdsim.metrics import last_k_error, max_delay
@@ -227,6 +227,38 @@ def test_block_shrinking_to_one_column_matches_the_reference_engine():
                         master_seed=case.seed)
 
     assert outcome(columns) == outcome(lambda: [reference_outcome(case, r) for r in rules])
+
+
+def assert_panelled_columns_match_single_runs(panelled):
+    """``run_grid``'s columns at dim 480 end as their single runs, whether the block
+    kernel walks the matrix in its three panels (one BLAS thread) or not."""
+    dim = 480
+    assert (objectives._panel_edges(dim) is not None) == panelled
+    case = Case(make_quadratic(dim, 1.0, 2.0, seed=8), NoiseModel(0.01),
+                constant_fleet([1.0, 2.0, 3.0]), MaxConcurrency(), ConstantStepsize,
+                np.ones(dim), StopRule(max_iterations=300, grad_tol=1e-2), 9,
+                [1.0, 0.3, 0.1, 0.03])
+
+    def columns():
+        return run_grid(case.objective, case.noise, case.workers, case.policy,
+                        [ConstantStepsize(eta) for eta in case.grid], case.x0, case.stop,
+                        master_seed=case.seed)
+
+    def single_runs():
+        traces = [case.simulate(eta, case.stop) for eta in case.grid]
+        return [TuneOutcome(len(t) if t.converged else None, last_k_error(t), t.diverged)
+                for t in traces]
+
+    assert outcome(columns) == outcome(single_runs)
+
+
+def test_panelled_columns_match_single_runs(one_blas_thread):
+    assert_panelled_columns_match_single_runs(panelled=True)
+
+
+def test_columns_match_single_runs_under_threaded_blas(at_blas_threads):
+    at_blas_threads(2, "import test_lockstep\n"
+                       "test_lockstep.assert_panelled_columns_match_single_runs(panelled=False)")
 
 
 QUAD = make_quadratic(4, 1.0, 2.0, seed=7)

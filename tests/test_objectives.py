@@ -7,11 +7,13 @@ from asgdsim import (
     HeterogeneousFamily,
     InvalidSpecError,
     NoiseModel,
+    QuadraticObjective,
     finite_difference_gradient,
     make_heterogeneous,
     make_logistic,
     make_quadratic,
 )
+from asgdsim import objectives
 from asgdsim.rng import named_stream
 
 
@@ -209,10 +211,28 @@ def _batches(dim, rng):
             yield xs[np.sort(rng.permutation(k)[: k // 2 + 1])]
 
 
+# rows of a panel in the derived cases: one row short of the fewest panels, that
+# many exactly, a one-row remainder after them and after one more panel, and a
+# dim of 2 mod 4
+PANEL = 64
+LEAST = objectives._MIN_PANELS * PANEL
+PANEL_DIMS = [LEAST - 1, LEAST, LEAST + 1, LEAST + PANEL + 1, LEAST + PANEL - 2]
+
+
+def assert_whole_gemv_rows_equal(dims):
+    """Under threaded BLAS: no panels, and every block row equals ``value_and_gradient``."""
+    for dim in dims:
+        assert objectives._panel_edges(dim) is None
+        obj = make_quadratic(dim, 1.0, 2.0, seed=dim)
+        for xs in _batches(dim, named_stream(dim, "batch-probe")):
+            TestBatchedKernels.assert_rowwise_equal(obj, xs)
+
+
 class TestBatchedKernels:
     """``values_and_gradients`` must give every row the bits of ``value_and_gradient``."""
 
-    def assert_rowwise_equal(self, obj, xs):
+    @staticmethod
+    def assert_rowwise_equal(obj, xs):
         values, grads = obj.values_and_gradients(xs)
         assert values.shape == (xs.shape[0],) and grads.shape == xs.shape
         for x, value, grad in zip(xs, values, grads):
@@ -243,6 +263,27 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(
                 obj.value_and_gradient(xs[0])[1],
                 -(obj.features.T @ (obj.labels * s)) / obj.n_samples)
+
+    @pytest.mark.parametrize("dim", PANEL_DIMS + [1000, 1001])
+    def test_panels_keep_the_bits_of_each_row(self, dim, monkeypatch, one_blas_thread):
+        """At one BLAS thread the kernel walks the matrix in row panels; every row of
+        every block still equals the one-iterate kernel, on a C- and an F-ordered
+        matrix and through a heterogeneous family."""
+        if dim in PANEL_DIMS:  # a budget of exactly PANEL rows at this dim
+            monkeypatch.setattr(objectives, "_PANEL_BYTES", 8 * dim * PANEL)
+        assert (objectives._panel_edges(dim) is None) == (dim < LEAST)
+        quad = make_quadratic(dim, 1.0, 2.0, seed=dim)
+        fortran = QuadraticObjective(np.asfortranarray(quad.matrix_a), quad.vector_b)
+        assert fortran.matrix_a.flags.f_contiguous
+        for obj in (quad, fortran, make_heterogeneous(quad, 3, 0.5, seed=dim)):
+            for xs in _batches(dim, named_stream(dim, "batch-probe")):
+                self.assert_rowwise_equal(obj, xs)
+
+    def test_threaded_blas_keeps_whole_gemvs(self, at_blas_threads):
+        """A threaded gemv splits its rows at edges that panels would not keep, so at
+        two threads the kernel runs whole gemvs and every row keeps its bits."""
+        at_blas_threads(2, "import test_objectives as t\n"
+                           "t.assert_whole_gemv_rows_equal([1001, 1500])")
 
     def test_heterogeneous_delegates_to_its_base(self):
         family = make_heterogeneous(make_quadratic(10, 1.0, 2.0, seed=3), 4, 0.5, seed=4)
