@@ -64,7 +64,6 @@ from .stepsize import (
     adaptive_eta_bounds,
     default_log_grid,
     select_stepsize,
-    theoretical_constant_eta,
 )
 
 __version__ = "0.1.0"

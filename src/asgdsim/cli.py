@@ -374,13 +374,24 @@ def tune(objective, noise, workers, policy, make_stepsize, x0, stop: StopRule, s
 # commands
 
 
-def cmd_simulate(args) -> int:
+def _load(args) -> tuple[ExperimentConfig, int]:
+    """The config of a config command and its master seed: ``--seed``, else the config's."""
     cfg = load_config(args.config)
-    _expect(cfg.stepsize is not None, "config.stepsize.eta", "is required to simulate")
-    seed = args.seed if args.seed is not None else cfg.data["seed"]
-    replicas = cfg.data["replicas"]
+    return cfg, args.seed if args.seed is not None else cfg.data["seed"]
+
+
+def _out(args) -> Path:
+    """The ``--out`` directory, made if missing; a command checks its inputs first."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_simulate(args) -> int:
+    cfg, seed = _load(args)
+    _expect(cfg.stepsize is not None, "config.stepsize.eta", "is required to simulate")
+    replicas = cfg.data["replicas"]
+    out = _out(args)
     exit_code = 0
     for replica in range(replicas):
         master = seed + replica
@@ -398,16 +409,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed = _load(args)
     _expect("stepsize" in cfg.data, "config.stepsize", "is required for tuning")
-    _expect(not isinstance(cfg.stepsize, TheoreticalConstantStepsize), "config.stepsize",
-            "the theoretical stepsize cannot be grid-tuned")
+    cfg.build_stepsize(cfg.grid[0])  # refuses a rule that cannot be grid-tuned
     if cfg.criterion == "min_T_to_eps":
         _expect(cfg.stop.has_target, "config.stop",
                 "min_T_to_eps tuning needs grad_tol or last_k_tol")
-    seed = args.seed if args.seed is not None else cfg.data["seed"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     try:
         result = tune(cfg.objective, cfg.noise, cfg.workers, cfg.policy, cfg.build_stepsize,
                       cfg.x0, cfg.stop, seed, cfg.grid, cfg.criterion)
@@ -468,10 +476,10 @@ def _scaling_point(objective, slow_factor: float, epsilon: float, grid: list[flo
     )
 
 
-def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 1e-14,
-                       points_per_decade: int = 4, max_iterations: int = 200_000,
-                       seed: int = 0) -> ScalingReport:
-    """The two-worker straggler sweep for one problem preset, one grid race per point."""
+def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float,
+                       points_per_decade: int, max_iterations: int, seed: int) -> ScalingReport:
+    """The two-worker straggler sweep for one problem preset, one grid race per point;
+    ``scaling``'s flags hold the defaults."""
     if preset == "quadratic":
         objective = make_quadratic(10, 1.0, 2.0, seed=seed)
     elif preset == "logistic":
@@ -499,13 +507,9 @@ def scaling_experiment(preset: str, slow_factors: list[float], epsilon: float = 
 def cmd_scaling(args) -> int:
     factors = _parse_numbers(args.slow_factors, "--slow-factors", counted=False)
     _expect(len(factors) >= 2, "--slow-factors", f"needs at least 2 values, got {len(factors)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = scaling_experiment(
-        args.preset, factors, epsilon=args.epsilon,
-        points_per_decade=args.points_per_decade,
-        max_iterations=args.max_iterations, seed=args.seed,
-    )
+    out = _out(args)
+    report = scaling_experiment(args.preset, factors, args.epsilon, args.points_per_decade,
+                                args.max_iterations, args.seed)
     write_json(out / "scaling.json", asdict(report))
     write_csv(out / "scaling.csv", [f.name for f in fields(ScalingPoint)],
               [astuple(p) for p in report.points])
@@ -529,14 +533,12 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed = _load(args)
     objective, workers, stop, noise, x0 = cfg.objective, cfg.workers, cfg.stop, cfg.noise, cfg.x0
     _expect(not isinstance(objective, HeterogeneousFamily), "config.objective",
             "compare runs homogeneous fleets")
     _expect(stop.has_target, "config.stop", "compare needs grad_tol or last_k_tol")
-    seed = args.seed if args.seed is not None else cfg.data["seed"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     n = len(workers)
     grid = cfg.grid if "tuning" in cfg.data else default_log_grid(points_per_decade=2)
     async_tuned, minibatch_tuned = (
@@ -631,8 +633,7 @@ def cmd_speedup(args) -> int:
             "fell_back": oracle.fell_back,
         },
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     write_json(out / "speedup.json", payload)
     write_csv(out / "weights.csv", ("rank", "delta", "weight"),
               [(i + 1, d, float(w)) for i, (d, w) in enumerate(zip(inp.deltas, weights))])
@@ -650,9 +651,7 @@ def cmd_verify(args) -> int:
         tag = "PASS" if result.passed else "FAIL"
         print(f"[{tag}] {result.name}: {result.detail}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "verify.json", {
+        write_json(_out(args) / "verify.json", {
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in results],
             "all_passed": not failed,
@@ -695,11 +694,15 @@ def build_parser() -> argparse.ArgumentParser:
                      description="asynchronous SGD delay simulator and analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[], help="run one configured simulation")
-    p.add_argument("config", help="path to a JSON run configuration")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_simulate)
+    def config_command(name, func, about):
+        """A command that runs a JSON config."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("config", help="path to a JSON run configuration")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.set_defaults(func=func)
+
+    config_command("simulate", cmd_simulate, "run one configured simulation")
 
     p = sub.add_parser("scaling", help="two-worker straggler sweep with per-point tuning")
     p.add_argument("--preset", choices=("quadratic", "logistic"), required=True)
@@ -711,11 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("compare", help="async vs minibatch on one fleet")
-    p.add_argument("config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_compare)
+    config_command("compare", cmd_compare, "async vs minibatch on one fleet")
 
     p = sub.add_parser("speedup", help="expected batch times for a fleet of speeds")
     p.add_argument("--deltas", required=True,
@@ -727,11 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_speedup)
 
-    p = sub.add_parser("tune", help="grid-search the stepsize of a configured run")
-    p.add_argument("config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_tune)
+    config_command("tune", cmd_tune, "grid-search the stepsize of a configured run")
 
     p = sub.add_parser("verify", help="run the built-in verification checks")
     p.add_argument("--fuzz-configs", type=int, default=300)

@@ -135,22 +135,20 @@ def average_delay_per_client_exact(ledger: DelayLedger) -> dict[int, Fraction]:
             for client, count in ledger.samples_per_client.items()}
 
 
-ERROR_WINDOW = 30  # last_k_error's default k: the final error that tuning compares
+ERROR_WINDOW = 30  # the final error that tuning compares is the mean of the last 30 norms
 
 
-def window_error(norms, k: int = ERROR_WINDOW) -> float:
-    """Mean of the last ``k`` of the gradient norms ``norms``, or of all of them
-    when there are fewer."""
-    return float(np.array(norms, dtype=float)[-k:].mean())
+def window_error(norms) -> float:
+    """Mean of the last ``ERROR_WINDOW`` of the gradient norms ``norms``, or of all of
+    them when there are fewer."""
+    return float(np.array(norms, dtype=float)[-ERROR_WINDOW:].mean())
 
 
-def last_k_error(trace, k: int = ERROR_WINDOW) -> float:
+def last_k_error(trace) -> float:
     """``window_error`` of the gradient norms at every iterate x^0 .. x^T
     (the trace rows plus the final point)."""
-    if k < 1:
-        raise UndefinedStatisticError("k must be at least 1")
     return window_error(np.append(np.asarray(trace.grad_norms, dtype=float),
-                                  trace.final_grad_norm), k)
+                                  trace.final_grad_norm))
 
 
 def _finite_or_none(value) -> Optional[float]:

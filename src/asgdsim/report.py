@@ -67,10 +67,6 @@ class ScalingReport:
     fit: Optional[LinearFit]
     warnings: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.fit is not None and len(self.points) < 3:
-            raise InvalidConfigError("a fitted report needs at least 3 points")
-
 
 def write_json(path, payload: dict) -> None:
     """Standard JSON only: a NaN or infinity in ``payload`` raises ``ValueError``."""

@@ -8,7 +8,7 @@ at most the target concurrency and shrinks (or drops) the rest:
     eta_t = 0                                  otherwise ("drop" mode)
 
 Scale mode realises the strict inequality by shaving a relative 1e-9 off the
-min.  ``theoretical_constant_eta`` is the horizon-dependent constant stepsize
+min.  ``TheoreticalConstantStepsize`` is the horizon-dependent constant stepsize
 suggested by the convergence analysis,
 
     eta = min( 1 / (2 L sqrt(max_delay * concurrency)),
@@ -70,42 +70,15 @@ class DelayAdaptiveStepsize:
         return min(self.eta, 1.0 / (4.0 * self.lipschitz * delay)) * (1.0 - STRICT_SHAVE)
 
 
-def theoretical_constant_eta(
-    lipschitz: float,
-    max_delay: float,
-    concurrency: float,
-    sigma: float = 0.0,
-    initial_gap: float = 0.0,
-    horizon: int = 0,
-) -> float:
-    """Constant stepsize from the convergence analysis; see module docstring.
+@dataclass(frozen=True)
+class TheoreticalConstantStepsize:
+    """Constant policy whose ``eta`` is the analysis's stepsize of its fields (see above).
 
     Inputs whose formula cannot be computed in floats are refused: an overflow,
     a division by a product that underflows to 0, or a branch that comes out 0
     or infinite though its exact value is neither.  The stepsize is 0 only where
     the formula says so, at ``initial_gap`` 0 in a noisy run.
     """
-    if lipschitz <= 0 or max_delay <= 0 or concurrency <= 0:
-        raise InvalidSpecError("lipschitz, max_delay and concurrency must be positive")
-    if sigma < 0 or initial_gap < 0 or horizon < 0:
-        raise InvalidSpecError("sigma, initial_gap and horizon must be non-negative")
-    try:  # float() of an integer past the float range raises, and so does sigma**2 past it
-        first = 1.0 / (2.0 * lipschitz * math.sqrt(float(max_delay) * float(concurrency)))
-        second = (math.sqrt(initial_gap / (2.0 * lipschitz * sigma**2 * (horizon + 1)))
-                  if sigma else math.inf)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise InvalidSpecError(f"the theoretical stepsize overflows or divides by 0: {exc}") from None
-    # a product past the float range makes a quotient 0, a factor below it makes one inf
-    if not 0.0 < first < math.inf:
-        raise InvalidSpecError(f"1 / (2 L sqrt(max_delay * concurrency)) comes out {first}")
-    if second == 0.0 < initial_gap:
-        raise InvalidSpecError("sqrt(initial_gap / (2 L sigma^2 (horizon + 1))) comes out 0")
-    return min(first, second)
-
-
-@dataclass(frozen=True)
-class TheoreticalConstantStepsize:
-    """Constant policy whose value is ``theoretical_constant_eta`` of its fields."""
 
     lipschitz: float
     max_delay: float
@@ -116,11 +89,25 @@ class TheoreticalConstantStepsize:
     eta: float = field(init=False)
 
     def __post_init__(self):
-        value = theoretical_constant_eta(
-            self.lipschitz, self.max_delay, self.concurrency,
-            self.sigma, self.initial_gap, self.horizon,
-        )
-        object.__setattr__(self, "eta", value)
+        lipschitz, max_delay, concurrency = self.lipschitz, self.max_delay, self.concurrency
+        sigma, initial_gap, horizon = self.sigma, self.initial_gap, self.horizon
+        if lipschitz <= 0 or max_delay <= 0 or concurrency <= 0:
+            raise InvalidSpecError("lipschitz, max_delay and concurrency must be positive")
+        if sigma < 0 or initial_gap < 0 or horizon < 0:
+            raise InvalidSpecError("sigma, initial_gap and horizon must be non-negative")
+        try:  # float() of an integer past the float range raises, and so does sigma**2 past it
+            first = 1.0 / (2.0 * lipschitz * math.sqrt(float(max_delay) * float(concurrency)))
+            second = (math.sqrt(initial_gap / (2.0 * lipschitz * sigma**2 * (horizon + 1)))
+                      if sigma else math.inf)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise InvalidSpecError(
+                f"the theoretical stepsize overflows or divides by 0: {exc}") from None
+        # a product past the float range makes a quotient 0, a factor below it makes one inf
+        if not 0.0 < first < math.inf:
+            raise InvalidSpecError(f"1 / (2 L sqrt(max_delay * concurrency)) comes out {first}")
+        if second == 0.0 < initial_gap:
+            raise InvalidSpecError("sqrt(initial_gap / (2 L sigma^2 (horizon + 1))) comes out 0")
+        object.__setattr__(self, "eta", min(first, second))
 
     def at(self, t: int, delay: int) -> float:
         return self.eta

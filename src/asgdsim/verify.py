@@ -88,7 +88,7 @@ def direct_minibatch_sgd(
 # fuzzing
 
 
-def random_config(rng: np.random.Generator, max_iterations: int = 10**4):
+def random_config(rng: np.random.Generator, max_iterations: int):
     """One random run of the fuzz's space: ``(workers, policy, objective_seed,
     sigma, cap, master_seed)``, for a dim-2 quadratic of ``objective_seed``
     under noise ``sigma`` and stepsize 1e-3 from the origin."""
@@ -209,16 +209,12 @@ def check_heterogeneity_exactness(seed: int = 13, n_clients: int = 4) -> CheckRe
     )
 
 
-def check_delay_conservation_fuzz(
-    n_configs: int = 300,
-    seed: int = 20260816,
-    max_iterations: int = 10**4,
-) -> CheckResult:
+def check_delay_conservation_fuzz(n_configs: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     failures = 0
     first = ""
     for i in range(n_configs):
-        check = delay_conservation(random_run(rng, max_iterations))
+        check = delay_conservation(random_run(rng))
         if not check.passed:
             failures += 1
             if not first:
@@ -334,7 +330,7 @@ def check_determinism(seed: int = 23) -> CheckResult:
     )
 
 
-def run_all(fuzz_configs: int = 300, seed: int = 20260816) -> list[CheckResult]:
+def run_all(fuzz_configs: int, seed: int) -> list[CheckResult]:
     return [
         check_gradient_finite_differences(),
         check_noise_calibration(),

@@ -39,7 +39,7 @@ from asgdsim.speedup import (
     minibatch_weights,
     speedup_ratio,
 )
-from asgdsim.stepsize import default_log_grid, theoretical_constant_eta
+from asgdsim.stepsize import TheoreticalConstantStepsize, default_log_grid
 from asgdsim.verify import random_run
 
 
@@ -132,7 +132,8 @@ def test_04_iterations_scale_with_sqrt_max_delay():
     factors = [1, 4, 16, 64, 256]
     r2 = {}
     for preset in ("quadratic", "logistic"):
-        report = scaling_experiment(preset, factors, epsilon=1e-14, seed=0)
+        report = scaling_experiment(preset, factors, epsilon=1e-14, points_per_decade=4,
+                                    max_iterations=200_000, seed=0)
         assert report.fit is not None
         for point in report.points:
             assert not point.eta_on_grid_edge, (
@@ -202,7 +203,7 @@ def test_06_theoretical_stepsize_reaches_target():
     stop = StopRule(max_iterations=10**5, grad_tol=1e-10)
     iters = {}
     for tau_c in (1, 2, 4):
-        eta = theoretical_constant_eta(obj.smoothness, tau_c, tau_c)
+        eta = TheoreticalConstantStepsize(obj.smoothness, tau_c, tau_c).eta
         trace = run_homogeneous(obj, NoiseModel(0.0), constant_fleet([1.0] * tau_c),
                                 MaxConcurrency(), ConstantStepsize(eta),
                                 np.zeros(10), stop, master_seed=0)

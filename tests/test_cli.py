@@ -564,6 +564,42 @@ class TestExitCodes:
         assert len(payload["points"]) == 2
 
 
+class TestConfigCommandRefusals:
+    """A config command that cannot run its config exits 1 before it makes --out."""
+
+    def test_tune_refuses_a_theoretical_stepsize(self, tmp_path, capsys):
+        data = tiny_config(stepsize={"kind": "theoretical"},
+                           stop={"max_iterations": 60, "grad_tol": 1e-6})
+        out = tmp_path / "out"
+        assert main(["tune", write_config(tmp_path, data), "--out", str(out)]) == 1
+        assert "config.stepsize: the theoretical stepsize cannot be grid-tuned" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides,path", [
+        ({"objective": {"family": "heterogeneous", "dim": 3, "lambda_min": 1.0,
+                        "lambda_max": 2.0, "n_clients": 2, "zeta": 0.5},
+          "policy": {"kind": "uniform_client_sampling", "concurrency": 1},
+          "stop": {"max_iterations": 60, "grad_tol": 1e-6}},
+         "config.objective: compare runs homogeneous fleets"),
+        ({"stop": {"max_iterations": 60}}, "config.stop: compare needs grad_tol or last_k_tol"),
+    ], ids=["heterogeneous_objective", "stop_without_target"])
+    def test_compare_refuses(self, overrides, path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compare", write_config(tmp_path, tiny_config(**overrides)),
+                     "--out", str(out)]) == 1
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_grid_that_never_reaches_the_target_exits_2(self, tmp_path, capsys):
+        data = tiny_config(workers=[{"time": "constant", "delta": 1.0}],
+                           stop={"max_iterations": 50, "grad_tol": 1e-12},
+                           tuning={"values": [0.1]})
+        assert main(["compare", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "asgdsim: tuning failed" in capsys.readouterr().err
+
+
 class TestReproducibility:
     def test_simulate_outputs_are_byte_identical(self, tmp_path):
         data = tiny_config(noise_sigma=0.3,

@@ -443,7 +443,8 @@ def test_scaling_runs_no_tuning_and_no_rerun(monkeypatch):
             schedules.append(self)
 
     monkeypatch.setattr(engine, "Schedule", Recorded)
-    report = scaling_experiment("quadratic", [1, 4, 16])
+    report = scaling_experiment("quadratic", [1, 4, 16], epsilon=1e-14, points_per_decade=4,
+                                max_iterations=200_000, seed=0)
     assert len(schedules) == 3
     assert sum(len(schedule.delays) for schedule in schedules) == \
         sum(point.iterations_to_target for point in report.points)

@@ -209,22 +209,20 @@ class TestTraceErrors:
         return SimpleNamespace(grad_norms=np.asarray(norms, dtype=float),
                                final_grad_norm=float(final))
 
-    def test_last_k_takes_the_tail(self):
-        # the final point's norm 4.0 closes the sequence
-        trace = self.fake_trace([1.0, 2.0, 3.0], 4.0)
-        assert metrics.last_k_error(trace, k=1) == 4.0
-        assert metrics.last_k_error(trace, k=2) == pytest.approx(3.5)
-        assert metrics.last_k_error(trace, k=4) == pytest.approx(2.5)
+    def test_long_trace_averages_exactly_the_last_window(self):
+        # 39 rows and the final point make 40 norms; the window is the last 30 of them
+        norms = [float(i * i) for i in range(40)]
+        trace = self.fake_trace(norms[:-1], norms[-1])
+        assert metrics.ERROR_WINDOW == 30
+        assert metrics.last_k_error(trace) == float(np.mean(norms[-30:]))
+        assert metrics.last_k_error(trace) != float(np.mean(norms[-29:]))
 
     def test_short_trace_averages_everything_without_a_warning(self):
+        # the final point's norm 4.0 closes the sequence
         trace = self.fake_trace([1.0, 2.0, 3.0], 4.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert metrics.last_k_error(trace, k=10) == 2.5
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(UndefinedStatisticError):
-            metrics.last_k_error(self.fake_trace([1.0], 1.0), k=0)
+            assert metrics.last_k_error(trace) == 2.5
 
 
 class TestSummary:

@@ -3,11 +3,12 @@
 ``scripts/mutants.py`` applies each entry of ``tests/mutants.json`` to a copy
 of the tree and runs the entry's tests, which must fail.  A refactor that
 moves or rewrites an anchor text has to carry its mutant along; these tests
-catch the anchors that it left behind, and replay one cheap mutant so that
-the runner itself keeps working.
+catch the anchors that it left behind and the tests that it renamed, and
+replay one cheap mutant so that the runner itself keeps working.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,16 @@ def test_every_anchor_occurs_exactly_once(mutant):
     assert mutant["tests"]
     for test in mutant["tests"]:
         assert (ROOT / test.split("::")[0]).is_file(), test
+
+
+def test_every_named_test_exists():
+    # pytest exits 4 when it cannot find a node id, and 0 when it collects them all
+    ids = sorted({test for mutant in TABLE for test in mutant["tests"]})
+    done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                           "-p", "no:cacheprovider", *ids],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600,
+                          env=os.environ | {"PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 def run_script(*ids):

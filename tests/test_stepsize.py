@@ -14,7 +14,6 @@ from asgdsim import (
     adaptive_eta_bounds,
     default_log_grid,
     select_stepsize,
-    theoretical_constant_eta,
 )
 from asgdsim.stepsize import MAX_GRID_POINTS
 
@@ -93,29 +92,50 @@ def test_adaptive_rule_properties(eta, lipschitz, concurrency, delay):
     assert DelayAdaptiveStepsize(eta, lipschitz, concurrency, "drop").at(0, delay) in (0.0, eta)
 
 
+def theory_eta(*args, **kwargs) -> float:
+    return TheoreticalConstantStepsize(*args, **kwargs).eta
+
+
+def written_out(lipschitz, max_delay, concurrency, sigma=0.0, initial_gap=0.0, horizon=0):
+    """min(1 / (2 L sqrt(max_delay C)), sqrt(F0 / (2 L sigma^2 (T + 1)))), noiseless: the first."""
+    first = 1.0 / (2.0 * lipschitz * math.sqrt(max_delay * concurrency))
+    if not sigma:
+        return first
+    return min(first, math.sqrt(initial_gap / (2.0 * lipschitz * sigma**2 * (horizon + 1))))
+
+
 class TestTheoreticalEta:
     def test_noiseless_uses_delay_branch_only(self):
-        eta = theoretical_constant_eta(2.0, max_delay=9.0, concurrency=4.0)
+        eta = theory_eta(2.0, max_delay=9.0, concurrency=4.0)
         assert eta == pytest.approx(1.0 / (2.0 * 2.0 * 6.0), rel=1e-15)
 
     def test_noise_branch_can_bind(self):
-        noiseless = theoretical_constant_eta(1.0, 1.0, 1.0)
-        noisy = theoretical_constant_eta(1.0, 1.0, 1.0, sigma=10.0, initial_gap=1.0,
-                                         horizon=10_000)
+        noiseless = theory_eta(1.0, 1.0, 1.0)
+        noisy = theory_eta(1.0, 1.0, 1.0, sigma=10.0, initial_gap=1.0, horizon=10_000)
         assert noisy < noiseless
         assert noisy == pytest.approx(
             math.sqrt(1.0 / (2.0 * 1.0 * 100.0 * 10_001)), rel=1e-15)
 
-    def test_policy_object_matches_function(self):
-        ss = TheoreticalConstantStepsize(lipschitz=2.0, max_delay=9.0, concurrency=4.0)
-        assert ss.eta == theoretical_constant_eta(2.0, 9.0, 4.0)
+    @pytest.mark.parametrize("args,kwargs", [
+        ((2.0, 9.0, 4.0), {}),
+        ((0.7, 3.0, 5.0), {"sigma": 0.3, "initial_gap": 2.5, "horizon": 40}),  # delay branch
+        ((1.0, 1.0, 1.0), {"sigma": 10.0, "initial_gap": 1.0, "horizon": 10_000}),  # noise
+        ((3.5, 17.0, 2.0), {"sigma": 1e-3, "initial_gap": 1e-9, "horizon": 7}),
+    ])
+    def test_matches_the_written_out_formula(self, args, kwargs):
+        ss = TheoreticalConstantStepsize(*args, **kwargs)
+        assert ss.eta == written_out(*args, **kwargs)
         assert ss.at(17, 200) == ss.eta
 
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            theoretical_constant_eta(0.0, 1.0, 1.0)
-        with pytest.raises(InvalidSpecError):
-            theoretical_constant_eta(1.0, 1.0, 1.0, sigma=-1.0)
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((0.0, 1.0, 1.0), {}, "lipschitz, max_delay and concurrency must be positive"),
+        ((1.0, -1.0, 1.0), {}, "lipschitz, max_delay and concurrency must be positive"),
+        ((1.0, 1.0, 1.0), {"sigma": -1.0}, "sigma, initial_gap and horizon must be non-negative"),
+        ((1.0, 1.0, 1.0), {"horizon": -1}, "sigma, initial_gap and horizon must be non-negative"),
+    ])
+    def test_invalid_inputs_rejected(self, args, kwargs, message):
+        with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+            theory_eta(*args, **kwargs)
 
     @pytest.mark.parametrize("args,kwargs", [
         ((4.0, 10.0, 10**400), {}),  # float() of the integer overflows
@@ -131,12 +151,12 @@ class TestTheoreticalEta:
             "noise_product_overflows", "noise_quotient_underflows"])
     def test_what_the_formula_cannot_compute_is_refused(self, args, kwargs):
         with pytest.raises(InvalidSpecError, match="theoretical stepsize|comes out"):
-            theoretical_constant_eta(*args, **kwargs)
+            theory_eta(*args, **kwargs)
 
     def test_zero_initial_gap_gives_zero_in_a_noisy_run(self):
         # the formula's own answer: a start at the optimum stays there
-        assert theoretical_constant_eta(4.0, 10.0, 10.0, sigma=1.0, initial_gap=0.0) == 0.0
-        assert theoretical_constant_eta(4.0, 10.0, 10.0, initial_gap=0.0) > 0.0
+        assert theory_eta(4.0, 10.0, 10.0, sigma=1.0, initial_gap=0.0) == 0.0
+        assert theory_eta(4.0, 10.0, 10.0, initial_gap=0.0) > 0.0
 
 
 class TestAdaptiveBounds:
